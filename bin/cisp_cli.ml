@@ -20,17 +20,36 @@ let region_conv =
   let print ppf r = Format.pp_print_string ppf (match r with `Us -> "us" | `Europe -> "europe") in
   Arg.conv (parse, print)
 
+(* Counts and rates that must be positive are checked at parse time,
+   so a bad value is a usage error (exit 2) instead of a crash or a
+   nonsense result ($inf per GB, an empty design) further down. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let region_t =
   Arg.(value & opt region_conv `Us & info [ "region" ] ~docv:"REGION" ~doc:"us or europe")
 
 let sites_t =
-  Arg.(value & opt (some int) None & info [ "sites" ] ~docv:"N" ~doc:"Top-N population centers (default: all)")
+  Arg.(value & opt (some positive_int) None & info [ "sites" ] ~docv:"N" ~doc:"Top-N population centers (default: all)")
 
 let budget_t =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"TOWERS" ~doc:"Tower budget (default: 27 per site)")
 
 let gbps_t =
-  Arg.(value & opt float 100.0 & info [ "gbps" ] ~docv:"GBPS" ~doc:"Aggregate capacity to provision")
+  Arg.(value & opt positive_float 100.0 & info [ "gbps" ] ~docv:"GBPS" ~doc:"Aggregate capacity to provision")
 
 let range_t =
   Arg.(value & opt float 100.0 & info [ "range" ] ~docv:"KM" ~doc:"Max microwave hop range")
@@ -49,7 +68,7 @@ let jobs_t =
              Results are independent of this setting." in
   Term.(
     const (fun jobs -> Option.iter Util.Pool.set_default_jobs jobs)
-    $ Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc))
+    $ Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
 (* Observability: --trace streams a Chrome-trace JSONL file at exit,
    --metrics prints the span/counter summary.  Neither changes any
@@ -130,7 +149,7 @@ let design_cmd =
 
 let weather_cmd =
   let intervals_t =
-    Arg.(value & opt int 365 & info [ "intervals" ] ~docv:"N" ~doc:"Weather intervals over the year")
+    Arg.(value & opt positive_int 365 & info [ "intervals" ] ~docv:"N" ~doc:"Weather intervals over the year")
   in
   let run () () region sites budget intervals =
     let config = config_of region sites 100.0 1.0 in
@@ -163,10 +182,10 @@ let weather_cmd =
 
 let scenarios_cmd =
   let intervals_t =
-    Arg.(value & opt int 8 & info [ "intervals" ] ~docv:"N" ~doc:"Trials per multi-interval scenario")
+    Arg.(value & opt positive_int 8 & info [ "intervals" ] ~docv:"N" ~doc:"Trials per multi-interval scenario")
   in
   let k_t =
-    Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Disjoint paths per commodity for the multipath schemes")
+    Arg.(value & opt positive_int 3 & info [ "k" ] ~docv:"K" ~doc:"Disjoint paths per commodity for the multipath schemes")
   in
   let csv_t =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write the stretch/availability frontier as CSV")
@@ -268,6 +287,15 @@ let hft_cmd =
   in
   Cmd.v (Cmd.info "hft" ~doc:"HFT relay loss reconstruction (paper section 2)") Term.(const run $ telemetry_t)
 
+(* Exit codes: 0 on success, 2 on a usage error (a bad option or
+   value), 125 on an uncaught exception. *)
 let () =
   let doc = "cISP: a speed-of-light ISP designer (NSDI 2022 reproduction)" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "cisp" ~doc) [ design_cmd; weather_cmd; scenarios_cmd; econ_cmd; hft_cmd ]))
+  let cmd =
+    Cmd.group (Cmd.info "cisp" ~doc) [ design_cmd; weather_cmd; scenarios_cmd; econ_cmd; hft_cmd ]
+  in
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

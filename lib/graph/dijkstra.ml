@@ -50,13 +50,10 @@ let path r ~dst =
     build [] dst
   end
 
-let distance g ~src ~dst =
-  let r = run_to g ~src ~dst in
-  if Float.equal r.dist.(dst) infinity then None else Some r.dist.(dst)
-
-let shortest_path g ~src ~dst =
-  let r = run_to g ~src ~dst in
+let route r ~dst =
   if Float.equal r.dist.(dst) infinity then None else Some (r.dist.(dst), path r ~dst)
+
+let shortest_path g ~src ~dst = route (run_to g ~src ~dst) ~dst
 
 (* Each source's Dijkstra is independent and only reads the graph, so
    the rows compute in parallel; every row is bit-identical to the

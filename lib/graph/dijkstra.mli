@@ -14,7 +14,8 @@ val run_to : Graph.t -> src:int -> dst:int -> result
 val path : result -> dst:int -> int list
 (** Node sequence from the source to [dst]; [] if unreachable. *)
 
-val distance : Graph.t -> src:int -> dst:int -> float option
+val route : result -> dst:int -> (float * int list) option
+(** Distance and node list to [dst], or [None] if unreachable. *)
 
 val shortest_path : Graph.t -> src:int -> dst:int -> (float * int list) option
 (** Distance and node list, or [None] if unreachable. *)

@@ -8,7 +8,7 @@ let constrained_shortest g ~src ~dst ~banned_nodes ~banned_edges =
       (not (Hashtbl.mem banned_nodes u))
       && (not (Hashtbl.mem banned_nodes e.Graph.dst))
       && not (Hashtbl.mem banned_edges (u, e.Graph.dst)));
-  Query.shortest_path_graph g' ~src ~dst
+  Dijkstra.shortest_path g' ~src ~dst
 
 let prefix_length g path =
   (* Sum of edge weights along a node list. *)
@@ -25,17 +25,8 @@ let prefix_length g path =
   in
   loop 0.0 path
 
-(* The spur searches always run plain Dijkstra on constrained working
-   copies (an engine prepared for [g] would answer for edges the spur
-   just banned); only the opening query may use a caller-prepared
-   engine, and only when it was prepared from this very graph. *)
-let initial_query query g ~src ~dst =
-  match query with
-  | Some q when Query.graph q == g -> Query.shortest_path q ~src ~dst
-  | Some _ | None -> Query.shortest_path_graph g ~src ~dst
-
-let yen ?query g ~src ~dst ~k =
-  match initial_query query g ~src ~dst with
+let yen g ~src ~dst ~k =
+  match Dijkstra.shortest_path g ~src ~dst with
   | None -> []
   | Some first ->
     let accepted = ref [ first ] in

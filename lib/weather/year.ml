@@ -15,6 +15,8 @@ let node_position (hops : Hops.t) node =
   else hops.Hops.towers.(node - hops.Hops.n_sites).Cisp_towers.Tower.position
 
 let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo : Topology.t) =
+  if intervals < 1 then
+    invalid_arg (Printf.sprintf "Year.run: intervals must be >= 1 (got %d)" intervals);
   Cisp_util.Telemetry.with_span "weather.year" (fun () ->
   let n = Inputs.n_sites inputs in
   let base = Topology.fiber_baseline inputs in

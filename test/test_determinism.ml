@@ -227,56 +227,6 @@ let test_los_sweep_width_invariant () =
       Alcotest.(check bool) (Printf.sprintf "ground cells, jobs=1 vs %d" w) true (g1 = gw))
     [ 2; 4; 8 ]
 
-let test_ch_preprocessing_width_invariant () =
-  (* Contraction-hierarchy preprocessing runs its witness searches on
-     the pool: the contraction order (hence ranks, shortcuts and every
-     query answer) must be a pure function of the graph, not of how
-     rows were chunked across domains.  A geometric multigraph large
-     enough that the pooled path actually engages, built at widths 1,
-     2 and 8, must yield identical rank arrays and bitwise-identical
-     many-to-many distance blocks. *)
-  let module Graph = Cisp_graph.Graph in
-  let module Ch = Cisp_graph.Ch in
-  let n = 260 in
-  let g =
-    let rng = Cisp_util.Rng.create 97 in
-    let xs = Array.init n (fun _ -> Cisp_util.Rng.uniform rng 0.0 1.0) in
-    let ys = Array.init n (fun _ -> Cisp_util.Rng.uniform rng 0.0 1.0) in
-    let g = Graph.create n in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        let dx = xs.(u) -. xs.(v) and dy = ys.(u) -. ys.(v) in
-        let d = sqrt ((dx *. dx) +. (dy *. dy)) in
-        if d <= 0.14 then Graph.add_undirected g u v d
-      done
-    done;
-    g
-  in
-  let sources = Array.init 12 (fun k -> (k * 37) mod n) in
-  let targets = Array.init 12 (fun k -> (k * 53) mod n) in
-  let run w =
-    Pool.with_default_jobs w (fun () ->
-        let ch = Cisp_graph.Ch.build g in
-        (Array.init n (Ch.rank ch), Ch.many_to_many ch ~sources ~targets))
-  in
-  let ranks1, dist1 = run 1 in
-  List.iter
-    (fun w ->
-      let ranksw, distw = run w in
-      Alcotest.(check (array int))
-        (Printf.sprintf "contraction ranks, jobs=1 vs %d" w)
-        ranks1 ranksw;
-      Array.iteri
-        (fun r row1 ->
-          Array.iteri
-            (fun c d1 ->
-              Alcotest.(check int64)
-                (Printf.sprintf "m2m distance [%d][%d] bitwise, jobs=1 vs %d" r c w)
-                (bits d1) (bits distw.(r).(c)))
-            row1)
-        dist1)
-    [ 2; 8 ]
-
 let suites =
   [
     ( "determinism.parallel",
@@ -287,8 +237,6 @@ let suites =
         Alcotest.test_case "weather year at jobs 1/2/4/8" `Slow test_weather_width_invariant;
         Alcotest.test_case "scenario suite golden at jobs 1/2/4/8" `Slow test_scenario_suite_golden;
         Alcotest.test_case "LOS sweep on a cold cache" `Slow test_los_sweep_width_invariant;
-        Alcotest.test_case "CH preprocessing at jobs 1/2/8" `Slow
-          test_ch_preprocessing_width_invariant;
         Alcotest.test_case "telemetry on/off bit-identity" `Slow test_telemetry_bit_identity;
       ] );
   ]

@@ -67,7 +67,8 @@ let test_dijkstra_unreachable () =
   let r = Dijkstra.run g ~src:0 in
   Alcotest.(check bool) "unreachable" true (r.dist.(2) = infinity);
   Alcotest.(check (list int)) "no path" [] (Dijkstra.path r ~dst:2);
-  Alcotest.(check bool) "distance none" true (Dijkstra.distance g ~src:0 ~dst:2 = None)
+  Alcotest.(check bool) "route none" true (Dijkstra.route r ~dst:2 = None);
+  Alcotest.(check bool) "shortest_path none" true (Dijkstra.shortest_path g ~src:0 ~dst:2 = None)
 
 let test_dijkstra_early_exit () =
   let g = diamond () in
@@ -154,7 +155,16 @@ let test_yen_sorted_distinct () =
   Alcotest.(check int) "distinct" (List.length ps)
     (List.length (List.sort_uniq compare ps))
 
-(* ---------- Disjoint ---------- *)
+(* ---------- successive node-disjoint paths (Fig 4b) ---------- *)
+
+(* The paper's Fig 4b greedy on top of [Multipath.successive]: each
+   round kills every unprotected interior node of the path it found. *)
+let kill_interior ~protected ~src ~dst work (_, path) =
+  let dead v = v <> src && v <> dst && (not (protected v)) && List.mem v path in
+  Graph.remove_edges work (fun u e -> not (dead u || dead e.Graph.dst))
+
+let node_disjoint ?(protected = fun _ -> false) g ~src ~dst ~k =
+  Multipath.successive g ~src ~dst ~k ~remove:(kill_interior ~protected ~src ~dst)
 
 let test_disjoint_successive () =
   (* Two parallel 2-hop routes plus one direct expensive edge. *)
@@ -163,11 +173,12 @@ let test_disjoint_successive () =
   Graph.add_undirected g 1 5 1.0;
   Graph.add_undirected g 0 2 2.0;
   Graph.add_undirected g 2 5 2.0;
+  let two_routes = Graph.copy g in
   Graph.add_undirected g 0 5 10.0;
-  let rounds = Disjoint.successive g ~src:0 ~dst:5 ~rounds:5 ~protected:(fun _ -> false) in
-  Alcotest.(check int) "three rounds" 3 (List.length rounds);
-  let ds = List.map fst rounds in
-  Alcotest.(check (list (float 1e-9))) "lengths grow" [ 2.0; 4.0; 10.0 ] ds
+  let ds = List.map fst (node_disjoint g ~src:0 ~dst:5 ~k:3) in
+  Alcotest.(check (list (float 1e-9))) "lengths grow" [ 2.0; 4.0; 10.0 ] ds;
+  let ds = List.map fst (node_disjoint two_routes ~src:0 ~dst:5 ~k:5) in
+  Alcotest.(check (list (float 1e-9))) "stops when unreachable" [ 2.0; 4.0 ] ds
 
 let test_disjoint_protected () =
   let g = Graph.create 4 in
@@ -176,14 +187,14 @@ let test_disjoint_protected () =
   Graph.add_undirected g 0 2 5.0;
   Graph.add_undirected g 2 3 5.0;
   (* protecting node 1 keeps the cheap route available forever *)
-  let rounds = Disjoint.successive g ~src:0 ~dst:3 ~rounds:3 ~protected:(fun v -> v = 1) in
+  let rounds = node_disjoint g ~src:0 ~dst:3 ~k:3 ~protected:(fun v -> v = 1) in
   Alcotest.(check int) "all rounds available" 3 (List.length rounds);
   List.iter (fun (d, _) -> check_float 1e-9 "always cheap" 2.0 d) rounds
 
 let test_disjoint_preserves_input () =
   let g = diamond () in
   let before = Graph.edge_count g in
-  ignore (Disjoint.successive g ~src:0 ~dst:2 ~rounds:3 ~protected:(fun _ -> false));
+  ignore (node_disjoint g ~src:0 ~dst:2 ~k:3);
   Alcotest.(check int) "input untouched" before (Graph.edge_count g)
 
 let suites =
@@ -275,7 +286,7 @@ let prop_disjoint_lengths_nondecreasing =
     QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 2000) ~n:10 ~edges:24 in
-      let rounds = Disjoint.successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
+      let rounds = node_disjoint g ~src:0 ~dst:9 ~k:6 in
       let ds = List.map fst rounds in
       List.sort Float.compare ds = ds)
 
@@ -288,14 +299,14 @@ let prop_disjoint_paths_simple =
   QCheck.Test.make ~name:"successive disjoint paths are simple" ~count:100 QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 4000) ~n:10 ~edges:24 in
-      let rounds = Disjoint.successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
+      let rounds = node_disjoint g ~src:0 ~dst:9 ~k:6 in
       List.for_all (fun (_, p) -> is_simple p) rounds)
 
 let prop_disjoint_interiors_disjoint =
   QCheck.Test.make ~name:"successive paths share no interior node" ~count:100 QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 5000) ~n:10 ~edges:24 in
-      let rounds = Disjoint.successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
+      let rounds = node_disjoint g ~src:0 ~dst:9 ~k:6 in
       let interiors = List.map (fun (_, p) -> interior p) rounds in
       let rec pairwise = function
         | [] -> true
@@ -316,7 +327,7 @@ let prop_searches_preserve_input =
       in
       let before = snapshot g in
       ignore (Kshortest.yen g ~src:0 ~dst:8 ~k:4);
-      ignore (Disjoint.successive g ~src:0 ~dst:8 ~rounds:4 ~protected:(fun _ -> false));
+      ignore (node_disjoint g ~src:0 ~dst:8 ~k:4);
       ignore (Multipath.k_disjoint g ~src:0 ~dst:8 ~k:4);
       ignore (Multipath.k_paths ~disjointness:Multipath.Node_disjoint g ~src:0 ~dst:8 ~k:4);
       snapshot g = before)

@@ -9,7 +9,6 @@ let () =
          Test_terrain.suites;
          Test_rf.suites;
          Test_graph.suites;
-         Test_query.suites;
          Test_lp.suites;
          Test_data.suites;
          Test_towers.suites;
@@ -23,4 +22,5 @@ let () =
          Test_determinism.suites;
          Test_orbit.suites;
          Test_lint.suites;
+         Test_cli.suites;
        ])

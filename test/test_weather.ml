@@ -113,6 +113,16 @@ let test_year_bounds () =
       Alcotest.(check bool) "best >= 1" true (p.Year.best >= 1.0 -. 1e-9))
     r.Year.per_pair
 
+let test_year_rejects_zero_intervals () =
+  let inputs, topo = year_fixture () in
+  let hops =
+    Cisp_towers.Hops.build ~cache ~sites:(Array.to_list inputs.Cisp_design.Inputs.sites)
+      ~towers:[] ()
+  in
+  Alcotest.check_raises "zero intervals rejected"
+    (Invalid_argument "Year.run: intervals must be >= 1 (got 0)") (fun () ->
+      ignore (Year.run ~intervals:0 ~climate:Rainfield.us_climate ~hops inputs topo))
+
 let test_year_cdfs_shape () =
   let inputs, topo = year_fixture () in
   let hops = hops_fixture (Array.to_list inputs.Cisp_design.Inputs.sites) in
@@ -301,6 +311,7 @@ let suites =
       [
         Alcotest.test_case "bounds" `Slow test_year_bounds;
         Alcotest.test_case "cdf shape" `Slow test_year_cdfs_shape;
+        Alcotest.test_case "zero intervals rejected" `Quick test_year_rejects_zero_intervals;
       ] );
     ("weather.hft", [ Alcotest.test_case "hurricane-driven loss" `Quick test_hft_shape ]);
   ]
