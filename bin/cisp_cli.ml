@@ -20,24 +20,30 @@ let region_conv =
   let print ppf r = Format.pp_print_string ppf (match r with `Us -> "us" | `Europe -> "europe") in
   Arg.conv (parse, print)
 
-(* Counts and rates that must be positive are checked at parse time,
-   so a bad value is a usage error (exit 2) instead of a crash or a
-   nonsense result ($inf per GB, an empty design) further down. *)
-let positive_int =
+(* Counts, rates and fractions are range-checked at parse time, so a
+   bad value is a usage error (exit 2) instead of a crash or a nonsense
+   result ($inf per GB, a silently empty design) further down. *)
+let int_conv ~expected ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when ok n -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_float =
+let float_conv ~expected ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when Float.is_finite x && x > 0.0 -> Ok x
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let positive_int = int_conv ~expected:"a positive integer" (fun n -> n >= 1)
+let non_negative_int = int_conv ~expected:"a non-negative integer" (fun n -> n >= 0)
+let positive_float = float_conv ~expected:"a positive number" (fun x -> x > 0.0)
+let non_negative_float = float_conv ~expected:"a non-negative number" (fun x -> x >= 0.0)
+let fraction = float_conv ~expected:"a number in (0, 1]" (fun x -> x > 0.0 && x <= 1.0)
 
 let region_t =
   Arg.(value & opt region_conv `Us & info [ "region" ] ~docv:"REGION" ~doc:"us or europe")
@@ -46,16 +52,16 @@ let sites_t =
   Arg.(value & opt (some positive_int) None & info [ "sites" ] ~docv:"N" ~doc:"Top-N population centers (default: all)")
 
 let budget_t =
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"TOWERS" ~doc:"Tower budget (default: 27 per site)")
+  Arg.(value & opt (some non_negative_int) None & info [ "budget" ] ~docv:"TOWERS" ~doc:"Tower budget (default: 27 per site)")
 
 let gbps_t =
   Arg.(value & opt positive_float 100.0 & info [ "gbps" ] ~docv:"GBPS" ~doc:"Aggregate capacity to provision")
 
 let range_t =
-  Arg.(value & opt float 100.0 & info [ "range" ] ~docv:"KM" ~doc:"Max microwave hop range")
+  Arg.(value & opt non_negative_float 100.0 & info [ "range" ] ~docv:"KM" ~doc:"Max microwave hop range")
 
 let height_t =
-  Arg.(value & opt float 1.0 & info [ "height-fraction" ] ~docv:"F" ~doc:"Usable fraction of tower height")
+  Arg.(value & opt fraction 1.0 & info [ "height-fraction" ] ~docv:"F" ~doc:"Usable fraction of tower height")
 
 let geojson_t =
   Arg.(value & opt (some string) None & info [ "geojson" ] ~docv:"FILE" ~doc:"Write the designed network as GeoJSON")

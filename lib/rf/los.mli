@@ -62,8 +62,8 @@ val check_dem :
 val check_cached :
   ?params:params -> cache:Cisp_terrain.Dem_cache.t -> endpoint -> endpoint -> verdict
 (** [check] with the profile sampled in bulk through
-    {!Cisp_terrain.Dem_cache.surface_samples}: the allocation-free,
-    lock-free-on-hit entry used by the tower LOS sweep.  Verdicts are
+    {!Cisp_terrain.Dem_cache.surface_samples}: the lock-free entry,
+    allocation-free on memo hits, used by the tower LOS sweep.  Verdicts are
     bit-identical to [check ~surface:(Dem_cache.surface_m cache)]. *)
 
 val feasible_cached :

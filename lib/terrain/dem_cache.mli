@@ -1,19 +1,20 @@
-(** Quantized, two-level memoization layer over a {!Dem}.
+(** Quantized memoization layer over a {!Dem}.
 
     Line-of-sight screening samples millions of surface heights, most
     of them in dense tower clusters where paths overlap heavily.  This
-    cache snaps queries to a ~400 m grid and memoizes heights per grid
-    cell, trading negligible accuracy (the synthetic DEM's features
-    are tens of km wide) for an order of magnitude in throughput.
+    cache snaps queries to a ~400 m grid and memoizes surface heights
+    per grid cell, trading negligible accuracy (the synthetic DEM's
+    features are tens of km wide) for an order of magnitude in
+    throughput.
 
-    Level 2 is a shared, exhaustive cell table whose mutex is taken
-    only on a per-domain miss; each pool domain keeps a private
-    direct-mapped level-1 cache (fixed-size unboxed arrays) in
-    domain-local storage, so the per-sample hit path is lock-free,
-    allocation-free, and touches no shared cache line.  Every cell
-    value is a pure function of (DEM, cell) — evaluated at the cell's
-    own center — so the shared store's contents, and every height the
-    cache ever returns, are bit-identical at any pool width. *)
+    Each pool domain keeps its own direct-mapped memo (fixed-size
+    unboxed arrays) in domain-local storage, so a lookup takes no lock,
+    allocates nothing on a hit and touches no shared cache line.  A
+    miss — a new cell, or one evicted by a colliding cell — evaluates
+    the DEM again.  Every value is a pure function of (DEM, cell),
+    evaluated at the cell's own center, so every height the cache
+    returns is bit-identical at any pool width and in any query
+    order. *)
 
 type t
 
@@ -33,32 +34,20 @@ val surface_m : t -> Cisp_geo.Coord.t -> float
     cell first). *)
 
 val elevation_m : t -> Cisp_geo.Coord.t -> float
-(** Memoized ground elevation (no clutter), also at the cell center. *)
-
-val surface_m_ll : t -> lat:float -> lon:float -> float
-(** [surface_m] on raw coordinates: the allocation-free entry for
-    callers that carry scalar lat/lon instead of a {!Cisp_geo.Coord.t}. *)
-
-val elevation_m_ll : t -> lat:float -> lon:float -> float
+(** Ground elevation (no clutter) at the cell center.  Not memoized:
+    LOS sweeps read it once per endpoint, not per sample. *)
 
 val surface_samples :
   t -> lats:floatarray -> lons:floatarray -> out:floatarray -> lo:int -> hi:int -> unit
-(** [surface_samples t ~lats ~lons ~out ~lo ~hi] writes
-    [out.(i) <- surface_m_ll t ~lat:lats.(i) ~lon:lons.(i)] for
-    [lo <= i <= hi].  One domain-local-storage access and bounds check
-    for the whole batch: the profile-sampling hot path of
-    {!Cisp_rf.Los}.  Raises [Invalid_argument] if the index range
-    falls outside any buffer. *)
+(** [surface_samples t ~lats ~lons ~out ~lo ~hi] writes the
+    {!surface_m} height of the point ([lats.(i)], [lons.(i)]) into
+    [out.(i)] for [lo <= i <= hi].  One domain-local-storage access
+    and bounds check for the whole batch: the profile-sampling hot
+    path of {!Cisp_rf.Los}.  Raises [Invalid_argument] if the index
+    range falls outside any buffer. *)
 
 val stats : t -> int * int
-(** (hits, misses) summed over all domains — for tests and tuning.  A
-    miss is a query that had to compute a new cell; racing domains may
-    classify a simultaneous first touch either way, so totals are
-    exact only for quiescent (or single-domain) caches. *)
-
-val surface_cells : t -> (int * float) list
-(** Shared-store contents (packed cell key, height), in ascending key
-    order: deterministic, for the width-invariance tests.  Keys are
-    opaque. *)
-
-val ground_cells : t -> (int * float) list
+(** (hits, misses) of {!surface_m} and {!surface_samples} lookups,
+    summed over all domains' memos — for tests and tuning.  A cell
+    first seen by two domains is a miss in each.  Totals are exact
+    for a quiescent cache: hits + misses = lookups. *)

@@ -77,9 +77,9 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
      the parallel range works one compact patch of terrain.  In
      registry order a chunk interleaves towers from all over the map
      and its DEM working set is the union of every profile it walks —
-     the per-domain L1 cache thrashes and every domain falls through
-     to the shared L2 at once.  Tile order keeps a chunk's profile
-     cells L1/L2-resident across its towers.  Results are keyed by the
+     the per-domain memo thrashes and every domain re-evaluates the
+     DEM at once.  Tile order keeps a chunk's profile cells
+     memo-resident across its towers.  Results are keyed by the
      original tower index, so traversal order never reaches the
      output. *)
   let sweep_order =

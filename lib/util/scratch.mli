@@ -1,7 +1,7 @@
 (** Per-domain scratch slots (see also the re-export [Pool.Scratch]).
 
     Hot paths that need reusable mutable state per worker (profile
-    sample buffers, L1 caches, telemetry buffers) allocate it through
+    sample buffers, DEM memos, telemetry buffers) allocate it through
     a {!t} instead of capturing shared state in a task closure: each
     domain lazily builds its own instance on first use, so tasks touch
     only domain-private memory.  The contract is on the user: scratch

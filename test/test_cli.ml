@@ -1,6 +1,7 @@
-(* The command-line front end: a non-positive count or rate is a usage
-   error (exit 2) reported before any work starts, never an uncaught
-   exception (exit 125) or a nonsense result. *)
+(* The command-line front end: an out-of-range count, rate or fraction
+   is a usage error (exit 2) reported before any work starts, never an
+   uncaught exception (exit 125), a nonsense result or a silently empty
+   design.  Zero budget and zero range are degenerate but valid. *)
 
 (* Under `dune runtest` the cwd is _build/default/test, under
    `dune exec` it is wherever the user ran it from. *)
@@ -16,8 +17,8 @@ let exit_code args =
 let rejects args () =
   Alcotest.(check int) (String.concat " " args ^ " exits 2") 2 (exit_code args)
 
-let test_accepts_one_site () =
-  Alcotest.(check int) "design --sites 1 exits 0" 0 (exit_code [ "design"; "--sites"; "1" ])
+let accepts args () =
+  Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 (exit_code args)
 
 let suites =
   [
@@ -33,6 +34,15 @@ let suites =
         Alcotest.test_case "scenarios --intervals 0" `Quick
           (rejects [ "scenarios"; "--intervals"; "0" ]);
         Alcotest.test_case "scenarios -k 0" `Quick (rejects [ "scenarios"; "-k"; "0" ]);
-        Alcotest.test_case "design --sites 1 runs" `Quick test_accepts_one_site;
+        Alcotest.test_case "design --sites 1 runs" `Quick (accepts [ "design"; "--sites"; "1" ]);
+        Alcotest.test_case "design --height-fraction 0" `Quick
+          (rejects [ "design"; "--height-fraction"; "0" ]);
+        Alcotest.test_case "design --height-fraction 1.5" `Quick
+          (rejects [ "design"; "--height-fraction"; "1.5" ]);
+        Alcotest.test_case "design --budget=-1" `Quick (rejects [ "design"; "--budget=-1" ]);
+        Alcotest.test_case "design --range=-1" `Quick (rejects [ "design"; "--range=-1" ]);
+        Alcotest.test_case "design --range=inf" `Quick (rejects [ "design"; "--range=inf" ]);
+        Alcotest.test_case "design --budget 0 --range 0 runs" `Quick
+          (accepts [ "design"; "--sites"; "2"; "--budget"; "0"; "--range"; "0" ]);
       ] );
   ]

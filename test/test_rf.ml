@@ -205,9 +205,9 @@ let test_cached_check_allocates_nothing () =
         if Los.feasible_cached ~cache a b then incr hits
       done
     in
-    (* Warm: fills the per-domain DEM L1s, publishes every profile
-       cell in the shared store, and grows the Los scratch buffers to
-       this batch's maximum sample count. *)
+    (* Warm: fills this domain's DEM memo with every profile cell and
+       grows the Los scratch buffers to this batch's maximum sample
+       count. *)
     run_batch ();
     (* [Gc.allocated_bytes] itself allocates (it returns a boxed
        float); measure that self-overhead with an empty section and

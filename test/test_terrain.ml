@@ -198,55 +198,98 @@ let test_cache_cell_center_purity () =
       (Int64.bits_of_float (Dem_cache.elevation_m cache p))
   done
 
+(* Bitwise: the cache returned the DEM's surface at the cell center. *)
+let check_cell_value msg p v =
+  Alcotest.(check int64) msg
+    (Int64.bits_of_float (Dem.surface_m us (Dem_cache.snap p)))
+    (Int64.bits_of_float v)
+
 let test_cache_order_independence () =
-  (* Shared-store contents are a pure function of the set of cells
-     touched — query order must not matter. *)
+  (* Returned heights are a pure function of the cell — query order
+     must not matter. *)
   let rng = Cisp_util.Rng.create 33 in
   let pts = List.init 300 (fun _ -> random_point rng) in
   let fill order =
     let cache = Dem_cache.create us in
-    List.iter (fun p -> ignore (Dem_cache.surface_m cache p)) order;
-    Dem_cache.surface_cells cache
+    List.map (fun p -> Int64.bits_of_float (Dem_cache.surface_m cache p)) order
   in
-  Alcotest.(check bool) "forward and reverse fills agree" true
-    (fill pts = fill (List.rev pts))
+  Alcotest.(check (list int64)) "forward and reverse fills agree" (fill pts)
+    (List.rev (fill (List.rev pts)))
+
+let parallel_point i =
+  let f = float_of_int (i mod 1900) /. 1900.0 in
+  coord ~lat:(30.0 +. (15.0 *. f)) ~lon:(-110.0 +. (30.0 *. Float.rem (f *. 37.0) 1.0))
 
 let test_cache_width_invariance () =
-  (* The tentpole determinism claim at the cache level: a parallel
-     sweep leaves bit-identical shared-store contents at any domain
-     count.  Each width gets a fresh cache; slight overlap between
-     indices makes domains race on common cells. *)
-  let sweep jobs =
-    let pool = Cisp_util.Pool.create ~jobs in
-    Fun.protect
-      ~finally:(fun () -> Cisp_util.Pool.shutdown pool)
-      (fun () ->
-        let cache = Dem_cache.create us in
-        Cisp_util.Pool.parallel_for pool ~n:2000 (fun i ->
-            let f = float_of_int (i mod 1900) /. 1900.0 in
-            let lat = 30.0 +. (15.0 *. f) in
-            let lon = -110.0 +. (30.0 *. Float.rem (f *. 37.0) 1.0) in
-            ignore (Dem_cache.surface_m_ll cache ~lat ~lon);
-            ignore (Dem_cache.elevation_m_ll cache ~lat ~lon));
-        (Dem_cache.surface_cells cache, Dem_cache.ground_cells cache))
-  in
-  let s1, g1 = sweep 1 in
-  Alcotest.(check bool) "cells non-empty" true (s1 <> []);
+  (* The determinism claim at the cache level: a parallel sweep returns
+     the cell-center height for every query at any domain count, and
+     the summed stats account for every query.  Each width gets a
+     fresh cache; slight overlap between indices makes domains miss on
+     common cells. *)
+  let n = 2000 in
   List.iter
     (fun jobs ->
-      let sw, gw = sweep jobs in
-      Alcotest.(check bool)
-        (Printf.sprintf "surface cells identical, jobs=1 vs %d" jobs)
-        true (s1 = sw);
-      Alcotest.(check bool)
-        (Printf.sprintf "ground cells identical, jobs=1 vs %d" jobs)
-        true (g1 = gw))
-    [ 2; 8 ]
+      let pool = Cisp_util.Pool.create ~jobs in
+      Fun.protect
+        ~finally:(fun () -> Cisp_util.Pool.shutdown pool)
+        (fun () ->
+          let cache = Dem_cache.create us in
+          let surface = Float.Array.create n and ground = Float.Array.create n in
+          Cisp_util.Pool.parallel_for pool ~n (fun i ->
+              let p = parallel_point i in
+              Float.Array.set surface i (Dem_cache.surface_m cache p);
+              Float.Array.set ground i (Dem_cache.elevation_m cache p));
+          for i = 0 to n - 1 do
+            let p = parallel_point i in
+            check_cell_value (Printf.sprintf "surface at cell center, jobs=%d" jobs) p
+              (Float.Array.get surface i);
+            Alcotest.(check int64)
+              (Printf.sprintf "ground at cell center, jobs=%d" jobs)
+              (Int64.bits_of_float (Dem.elevation_m us (Dem_cache.snap p)))
+              (Int64.bits_of_float (Float.Array.get ground i))
+          done;
+          let hits, misses = Dem_cache.stats cache in
+          Alcotest.(check int) (Printf.sprintf "stats cover every query, jobs=%d" jobs) n
+            (hits + misses)))
+    [ 1; 2; 8 ]
+
+(* The memo's slot function, restated: [slot_collision] searches for
+   two cells that share a slot, and its miss counts fail if this copy
+   drifts from lib/terrain/dem_cache.ml. *)
+let memo_slot qi qj =
+  let key = ((qi + 0x40000) lsl 20) lor (qj + 0x80000) in
+  (((key * 0x2545F4914F6CDD1D) land max_int) lsr 42) land ((1 lsl 20) - 1)
+
+let test_cache_slot_collision () =
+  (* Two cells in one direct-mapped slot evict each other: queried
+     alternately, every lookup misses, and each still returns its own
+     cell-center value — never the other cell's. *)
+  let qi0 = 40 * 276 and qj0 = -95 * 276 in
+  let target = memo_slot qi0 qj0 in
+  let rec search qi qj =
+    if qi >= qi0 + 2048 then Alcotest.fail "no colliding cell in the search box"
+    else if qj >= qj0 + 2048 then search (qi + 1) qj0
+    else if (qi <> qi0 || qj <> qj0) && memo_slot qi qj = target then (qi, qj)
+    else search qi (qj + 1)
+  in
+  let qi1, qj1 = search qi0 (qj0 + 1) in
+  let center qi qj = coord ~lat:(float_of_int qi /. 276.0) ~lon:(float_of_int qj /. 276.0) in
+  let a = center qi0 qj0 and b = center qi1 qj1 in
+  Alcotest.(check bool) "the two cells' heights differ" false
+    (Float.equal (Dem.surface_m us a) (Dem.surface_m us b));
+  let cache = Dem_cache.create us in
+  for round = 1 to 2 do
+    check_cell_value (Printf.sprintf "first cell, round %d" round) a (Dem_cache.surface_m cache a);
+    check_cell_value (Printf.sprintf "second cell, round %d" round) b (Dem_cache.surface_m cache b);
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "round %d all misses" round)
+      (0, 2 * round) (Dem_cache.stats cache)
+  done
 
 let test_cache_telemetry_stress () =
-  (* 8 domains race the shared-L2 miss path while hammering telemetry:
+  (* 8 domains race their memos' miss paths while hammering telemetry:
      counter totals stay exact, cache stats stay coherent (every query
-     lands in hits or misses), and the published store matches a
+     lands in hits or misses), and every returned height matches a
      sequential fill bit for bit. *)
   let n = 4096 in
   let sweep jobs =
@@ -258,29 +301,29 @@ let test_cache_telemetry_stress () =
           ~finally:(fun () -> Cisp_util.Pool.shutdown pool)
           (fun () ->
             let cache = Dem_cache.create us in
+            let heights = Array.make n 0L in
             Cisp_util.Pool.parallel_for pool ~n (fun i ->
                 let f = float_of_int (i mod 997) /. 997.0 in
                 let lat = 30.0 +. (15.0 *. f) in
                 let lon = -110.0 +. (30.0 *. Float.rem (f *. 37.0) 1.0) in
-                ignore (Dem_cache.surface_m_ll cache ~lat ~lon);
+                heights.(i) <- Int64.bits_of_float (Dem_cache.surface_m cache (coord ~lat ~lon));
                 Cisp_util.Telemetry.incr "stress.queries";
                 Cisp_util.Telemetry.observe "stress.lat_deg" lat);
             let hits, misses = Dem_cache.stats cache in
             ( hits + misses,
               Cisp_util.Telemetry.counter "stress.queries",
               Array.length (Cisp_util.Telemetry.samples "stress.lat_deg"),
-              Dem_cache.surface_cells cache )))
+              heights )))
   in
-  let q1, c1, s1, cells1 = sweep 1 in
-  let q8, c8, s8, cells8 = sweep 8 in
+  let q1, c1, s1, h1 = sweep 1 in
+  let q8, c8, s8, h8 = sweep 8 in
   Alcotest.(check int) "sequential stats cover every query" n q1;
   Alcotest.(check int) "parallel stats cover every query" n q8;
   Alcotest.(check int) "counter exact at jobs=1" n c1;
   Alcotest.(check int) "counter exact at jobs=8" n c8;
   Alcotest.(check int) "every observation lands at jobs=1" n s1;
   Alcotest.(check int) "every observation lands at jobs=8" n s8;
-  Alcotest.(check bool) "store contents bit-identical to sequential" true
-    (cells1 = cells8)
+  Alcotest.(check bool) "heights bit-identical to sequential" true (h1 = h8)
 
 let suites =
   [
@@ -311,6 +354,7 @@ let suites =
         Alcotest.test_case "cell-center purity" `Quick test_cache_cell_center_purity;
         Alcotest.test_case "order independence" `Quick test_cache_order_independence;
         Alcotest.test_case "width invariance" `Slow test_cache_width_invariance;
+        Alcotest.test_case "slot collision" `Quick test_cache_slot_collision;
         Alcotest.test_case "telemetry stress at jobs 8" `Slow
           test_cache_telemetry_stress;
       ] );
