@@ -82,7 +82,20 @@ let build_artifacts config =
   in
   { config; dem; cache; sites = Array.of_list centers; towers = culled; hops; fiber }
 
+let validate_config config =
+  let bad field value = invalid_arg (Printf.sprintf "Scenario.artifacts: %s = %s" field value) in
+  (match config.n_sites with
+  | Some k when k < 1 -> bad "n_sites" (Printf.sprintf "%d (must be >= 1)" k)
+  | Some _ | None -> ());
+  let r = config.max_range_km in
+  if not (Float.is_finite r && r >= 0.0) then
+    bad "max_range_km" (Printf.sprintf "%g (must be finite and >= 0)" r);
+  let h = config.height_fraction in
+  if not (h > 0.0 && h <= 1.0) then
+    bad "height_fraction" (Printf.sprintf "%g (must be in (0, 1])" h)
+
 let artifacts ?(config = default_config) () =
+  validate_config config;
   match Hashtbl.find_opt cache_table config with
   | Some a -> a
   | None ->
@@ -98,6 +111,8 @@ let population_inputs a =
 type method_ = Heuristic | Exact | Rounded
 
 let design ?(method_ = Heuristic) ?limits (inputs : Inputs.t) ~budget =
+  if budget < 0 then
+    invalid_arg (Printf.sprintf "Scenario.design: budget = %d (must be >= 0)" budget);
   match method_ with
   | Heuristic ->
     (* One greedy run at the paper's 2x-inflated budget yields both the

@@ -39,7 +39,11 @@ type artifacts = {
 }
 
 val artifacts : ?config:config -> unit -> artifacts
-(** Build (or fetch memoized) artifacts for a configuration. *)
+(** Build (or fetch memoized) artifacts for a configuration.  Raises
+    [Invalid_argument], naming the field and its value, if [n_sites]
+    is [Some k] with [k < 1], [max_range_km] is negative or not
+    finite, or [height_fraction] is outside (0, 1].  A zero range is
+    valid (no tower hops). *)
 
 val clear_cache : unit -> unit
 
@@ -55,7 +59,9 @@ val design :
 (** [Heuristic] (default): the paper's pipeline at scale — greedy with
     2x-inflated budget for candidates, then greedy at budget + swap
     local search.  [Exact]: greedy candidates handed to the ILP (only
-    viable at small n).  [Rounded]: the LP-rounding baseline. *)
+    viable at small n).  [Rounded]: the LP-rounding baseline.  Raises
+    [Invalid_argument] if [budget < 0]; [budget = 0] gives the empty
+    design. *)
 
 type report = {
   topology : Topology.t;

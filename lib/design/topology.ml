@@ -69,51 +69,26 @@ let remove t pair =
     }
   end
 
-(* Below this size the per-pass synchronization of the pool costs more
-   than the row updates it spreads out. *)
-let par_threshold = 64
-
-(* One row relaxation is ~n flops over contiguous floats — far cheaper
-   than a claim of the pool's shared chunk counter.  Batch enough rows
-   per claim that each costs on the order of a few thousand flops;
-   small matrices fall back to sequential via the pool's short-circuit
-   rather than spinning every worker on chunk = 1. *)
-let row_chunk n = max 8 (4096 / max 1 n)
-
 (* Metric closure of the complete fiber mesh.  Fiber route matrices
    are already shortest paths over the conduit graph, hence metric;
    one Floyd-Warshall pass guards against non-metric synthetic
-   inputs.  For a fixed pivot [k] the row updates are independent
-   (row [k] itself is a fixed point of pass [k]: the candidate
-   d(k,k) + d(k,j) can never beat d(k,j) with non-negative
-   distances), so each pass parallelizes over [i] without changing
-   any comparison or store order within a row. *)
+   inputs. *)
 let fiber_baseline (inputs : Inputs.t) =
   let n = Inputs.n_sites inputs in
   let d = Array.map Array.copy inputs.fiber_km in
-  let pass k i =
-    let dik = d.(i).(k) in
-    if dik < infinity then begin
-      let row = d.(i) and pivot = d.(k) in
-      for j = 0 to n - 1 do
-        let alt = dik +. pivot.(j) in
-        if alt < row.(j) then row.(j) <- alt
-      done
-    end
-  in
-  if n < par_threshold then
-    for k = 0 to n - 1 do
-      for i = 0 to n - 1 do
-        pass k i
-      done
+  for k = 0 to n - 1 do
+    let pivot = d.(k) in
+    for i = 0 to n - 1 do
+      let dik = d.(i).(k) in
+      if dik < infinity then begin
+        let row = d.(i) in
+        for j = 0 to n - 1 do
+          let alt = dik +. pivot.(j) in
+          if alt < row.(j) then row.(j) <- alt
+        done
+      end
     done
-  else begin
-    let pool = Cisp_util.Pool.get () in
-    let min_chunk = row_chunk n in
-    for k = 0 to n - 1 do
-      Cisp_util.Pool.parallel_for ~min_chunk pool ~n (pass k)
-    done
-  end;
+  done;
   d
 
 (* Exact closure after adding one extra edge (i,j,w) to a closed
@@ -124,7 +99,7 @@ let distances_incremental (inputs : Inputs.t) d (i, j) =
   let w = inputs.mw_km.(i).(j) in
   if not (w < infinity) then invalid_arg "Topology.distances_incremental: non-finite link length";
   let out = Array.map Array.copy d in
-  let relax s =
+  for s = 0 to n - 1 do
     let dsi = d.(s).(i) and dsj = d.(s).(j) in
     let row = out.(s) in
     for t = 0 to n - 1 do
@@ -133,13 +108,7 @@ let distances_incremental (inputs : Inputs.t) d (i, j) =
       let alt = Float.min via_ij via_ji in
       if alt < row.(t) then row.(t) <- alt
     done
-  in
-  (* Rows of [out] are written independently; [d] is only read. *)
-  if n < par_threshold then
-    for s = 0 to n - 1 do
-      relax s
-    done
-  else Cisp_util.Pool.parallel_for_default ~min_chunk:(row_chunk n) ~n relax;
+  done;
   out
 
 let distances t =

@@ -96,13 +96,7 @@ type t = {
   by_name : int SM.t;
 }
 
-let pool_combinators =
-  [
-    "Cisp_util.Pool.parallel_for";
-    "Cisp_util.Pool.parallel_for_default";
-    "Cisp_util.Pool.parallel_map_array";
-    "Cisp_util.Pool.fold_range";
-  ]
+let pool_combinators = [ "Cisp_util.Pool.parallel_for" ]
 
 (* ------------------------------------------------------------------ *)
 (* Canonical names                                                     *)

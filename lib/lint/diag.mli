@@ -17,9 +17,9 @@
     The last three rules consume the interprocedural effect analysis
     ({!Callgraph}, {!Effects}, {!Summary}):
 
-    - L7: a closure handed to [Cisp_util.Pool.parallel_for] /
-      [parallel_map_array] / [fold_range] must not transitively mutate
-      shared state that is neither [Atomic] nor mutex-protected.
+    - L7: a closure handed to [Cisp_util.Pool.parallel_for] must not
+      transitively mutate shared state that is neither [Atomic] nor
+      mutex-protected.
     - L8: a function exported by a [.mli] must not (transitively)
       raise anything but the documented [Invalid_argument]
       convention; the diagnostic lands on the public function of the
@@ -55,8 +55,8 @@
     - L15: no float accumulation over an unordered source (raw
       [Hashtbl.fold]/[iter] outside [Cisp_util.Tbl], hand-rolled
       [Domain.join] merges) reachable from the design pipeline — the
-      bit-identity contract admits only ordered folds and the pool's
-      fixed pairwise reduction tree. *)
+      bit-identity contract admits only ordered folds, such as a fold
+      in index order over per-index slots a parallel loop wrote. *)
 
 type rule =
   | L1

@@ -33,10 +33,10 @@ let endpoint_of_tower ~dem position ~antenna_m =
    captured locals) is what lets the whole cached engine below run
    closure-free and allocation-free: floats handed across a
    non-flambda call boundary are boxed, floats read out of a
-   floatarray stay in registers.  Domain-private (Pool.Scratch), and
-   only ever an input to the computation — contents are overwritten
-   for the sample range before each read — so reuse cannot leak state
-   between pairs or domains. *)
+   floatarray stay in registers.  Domain-private (Cisp_util.Scratch),
+   and only ever an input to the computation — contents are
+   overwritten for the sample range before each read — so reuse cannot
+   leak state between pairs or domains. *)
 type scratch = {
   mutable lats : Float.Array.t;
   mutable lons : Float.Array.t;
@@ -76,7 +76,7 @@ let a_deficit = 2
 let a_blocked = 3
 
 let scratch_key =
-  Cisp_util.Pool.Scratch.create (fun () ->
+  Cisp_util.Scratch.create (fun () ->
       {
         lats = Float.Array.create 256;
         lons = Float.Array.create 256;
@@ -238,7 +238,7 @@ let rec scan_cached cache sc ~n ~lo =
    the deepest curvature bulge and is the likeliest blockage, so it is
    positioned and sampled alone before paying for the full profile. *)
 let[@cisp.zero_alloc] profile_status_cached ~params ~cache a b =
-  let sc = Cisp_util.Pool.Scratch.get scratch_key in
+  let sc = Cisp_util.Scratch.get scratch_key in
   let n = begin_profile sc ~params a b in
   if n = 0 then 1
   else begin
@@ -254,7 +254,7 @@ let[@cisp.zero_alloc] profile_status_cached ~params ~cache a b =
    obstruction heights supplied by [sample sc ~lo ~hi] filling
    [sc.surf.(lo..hi)] at the positions in [sc.lats]/[sc.lons]. *)
 let profile_verdict ~params ~sample a b =
-  let sc = Cisp_util.Pool.Scratch.get scratch_key in
+  let sc = Cisp_util.Scratch.get scratch_key in
   let n = begin_profile sc ~params a b in
   if n = 0 then Out_of_range
   else begin
@@ -303,14 +303,14 @@ let check_cached ?(params = default_params) ~cache a b =
   match profile_status_cached ~params ~cache a b with
   | 1 -> Out_of_range
   | 2 ->
-    let sc = Cisp_util.Pool.Scratch.get scratch_key in
+    let sc = Cisp_util.Scratch.get scratch_key in
     Blocked
       {
         at_km = Float.Array.get sc.acc a_at;
         deficit_m = Float.Array.get sc.acc a_deficit;
       }
   | _ ->
-    let sc = Cisp_util.Pool.Scratch.get scratch_key in
+    let sc = Cisp_util.Scratch.get scratch_key in
     Clear (Float.Array.get sc.acc a_margin)
 
 (* [?params] without default sugar: `?(params = default_params)`

@@ -38,7 +38,7 @@ let mask = (1 lsl bits) - 1
    in two unboxed arrays.  Fixed-size by design — probing, filling and
    evicting are single array accesses, there is no growth or rehash,
    and the hit path allocates nothing.  Each memo is reached only
-   through its domain's [Pool.Scratch] slot, so lookups take no lock
+   through its domain's [Cisp_util.Scratch] slot, so lookups take no lock
    and dirty no shared cache line.  The counters are plain ints for
    the same reason; [stats] reads them cross-domain as monotone
    approximations. *)
@@ -58,7 +58,7 @@ let[@inline] slot_of key = (mix key lsr 42) land mask
 
 type t = {
   dem : Dem.t;
-  memo : memo Cisp_util.Pool.Scratch.t;
+  memo : memo Cisp_util.Scratch.t;
   reg_lock : Mutex.t;
   memos : memo list ref; (* under [reg_lock]; for [stats] *)
 }
@@ -67,7 +67,7 @@ let create dem =
   let reg_lock = Mutex.create () in
   let memos = ref [] in
   let memo =
-    Cisp_util.Pool.Scratch.create (fun () ->
+    Cisp_util.Scratch.create (fun () ->
         let m =
           {
             keys = Array.make (1 lsl bits) no_cell;
@@ -108,7 +108,7 @@ let[@inline] [@cisp.zero_alloc] lookup dem (m : memo) ~lat ~lon =
   else miss dem m slot key qi qj
 
 let surface_m t p =
-  lookup t.dem (Cisp_util.Pool.Scratch.get t.memo) ~lat:(Coord.lat p) ~lon:(Coord.lon p)
+  lookup t.dem (Cisp_util.Scratch.get t.memo) ~lat:(Coord.lat p) ~lon:(Coord.lon p)
 
 (* Ground heights are read once per LOS endpoint, not per sample:
    evaluated directly, never memoized. *)
@@ -123,7 +123,7 @@ let[@cisp.zero_alloc] surface_samples t ~lats ~lons ~out ~lo ~hi =
     || hi >= Float.Array.length out
   then invalid_arg "Dem_cache.surface_samples: index range outside buffers";
   let dem = t.dem in
-  let m = Cisp_util.Pool.Scratch.get t.memo in
+  let m = Cisp_util.Scratch.get t.memo in
   (* The probe is {!lookup} with the store sunk into each branch.
      Calling [lookup] and storing its result would box the hit value:
      the [if] join with [miss]'s (boxed) return value forces the hit

@@ -3,13 +3,13 @@
     Carlo trials).
 
     Design contract: parallelism only changes {e when} work runs,
-    never {e what} is computed.  Every combinator here is
-    deterministic — results are bit-identical whatever the pool size,
-    including [jobs = 1], which degrades to plain sequential loops
-    with no domains spawned.  {!fold_range} guarantees this for float
-    accumulation by merging partial results in a fixed binary-tree
-    order that depends only on the input length, never on worker
-    scheduling.
+    never {e what} is computed.  The one loop here, {!parallel_for},
+    runs each index once with a body that writes only state its index
+    owns, so results are bit-identical whatever the pool size,
+    including [jobs = 1], which degrades to a plain sequential loop
+    with no domains spawned.  Accumulate by writing per-index slots
+    and folding them in index order after the loop returns: the fold
+    order is then independent of scheduling.
 
     A pool is a fixed set of long-lived worker domains fed from a
     shared chunk counter (no work stealing, no per-worker deques).
@@ -31,22 +31,6 @@ val jobs : t -> int
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent.  Using the pool afterwards
     degrades to sequential execution. *)
-
-(** {2 Per-domain scratch}
-
-    Hot paths that need reusable mutable state per worker (profile
-    sample buffers, DEM memos) allocate it through a {!Scratch.t}
-    instead of capturing shared state in the task closure: each domain
-    lazily builds its own instance on first use, so tasks touch only
-    domain-private memory and stay within the pool's determinism
-    contract (rule L7).  The contract is on the user: scratch contents
-    must never feed results — only the work computed {e into} them
-    may. *)
-
-module Scratch = Scratch
-(** Re-export of {!Scratch} (its own compilation unit so that modules
-    below the pool in the dependency order — [Telemetry] — can use it
-    too). *)
 
 (** {2 Default pool}
 
@@ -71,7 +55,7 @@ val with_default_jobs : int -> (unit -> 'a) -> 'a
 val get : unit -> t
 (** The shared default pool (created or resized on demand). *)
 
-(** {2 Deterministic parallel combinators} *)
+(** {2 Deterministic parallel loop} *)
 
 val parallel_for : ?min_chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n f] runs [f 0 .. f (n-1)], each index exactly
@@ -89,39 +73,3 @@ val parallel_for : ?min_chunk:int -> t -> n:int -> (int -> unit) -> unit
     worker — the submitter would otherwise claim every chunk before
     the workers stir, paying wake-up cost for zero parallelism.
     Chunking affects scheduling only, never results. *)
-
-val parallel_for_default : ?min_chunk:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for_default ~n f] is [parallel_for (get ()) ~n f],
-    except that a nested call (from inside a pool body) falls back to
-    the calling domain {e before} consulting the pool registry — a
-    worker never acquires [default_lock].  Use it from code that may
-    run either at top level or inside another parallel loop (e.g.
-    [Topology.distances_incremental] under a weather sweep). *)
-
-val parallel_map_array : ?min_chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map_array pool f arr] is [Array.map f arr] with the
-    elements evaluated in parallel.  [f] must be pure (or at least
-    per-element independent).  [min_chunk] as in {!parallel_for}. *)
-
-val fold_range :
-  ?min_chunk:int ->
-  t ->
-  n:int ->
-  map:(lo:int -> hi:int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  init:'a ->
-  'a
-(** Per-chunk accumulate, deterministic reduce: the index range
-    [0, n) is cut into fixed chunks of [min_chunk] indices (default 1;
-    the last chunk may be short), [map ~lo ~hi] builds each chunk's
-    accumulator over \[lo, hi), and the partials are combined
-    pairwise in a fixed left-to-right binary tree whose shape depends
-    only on the chunk count, finishing with
-    [merge init total].  Chunk boundaries are a pure function of
-    [(n, min_chunk)] — never of the pool width or of which domain
-    claimed which chunk — so the result is bit-identical at any width
-    even for non-associative merges.  This is the required idiom for
-    parallel accumulation (rule L7): accumulate into chunk-private
-    state inside [map] (per-domain buffers via {!Scratch} are fine for
-    workspace), never into state shared across chunks.  Returns [init]
-    when [n <= 0]. *)

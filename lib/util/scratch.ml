@@ -2,8 +2,7 @@
 
    Lives outside [Pool] so that modules underneath the pool in the
    dependency order (notably [Telemetry], which the pool itself calls)
-   can keep per-domain state without creating a cycle; [Pool.Scratch]
-   re-exports this module for the existing call sites. *)
+   can keep per-domain state without creating a cycle. *)
 
 type 'a t = 'a Domain.DLS.key
 

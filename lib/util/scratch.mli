@@ -1,4 +1,4 @@
-(** Per-domain scratch slots (see also the re-export [Pool.Scratch]).
+(** Per-domain scratch slots.
 
     Hot paths that need reusable mutable state per worker (profile
     sample buffers, DEM memos, telemetry buffers) allocate it through

@@ -52,50 +52,40 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
   let trial_chunk = 4 in
   (* Each interval is an independent trial: its rain field is a pure
      function of (seed, day) — its own RNG stream — and it writes only
-     its own row of [samples], so the trials run in parallel with
-     bit-identical results at any pool width.  The failed-link counts
-     accumulate per chunk and reduce over fixed chunk boundaries
-     (width-independent), keeping the total exact and deterministic. *)
-  let failed_total =
-    Cisp_util.Pool.fold_range (Cisp_util.Pool.get ()) ~n:intervals ~min_chunk:trial_chunk
-      ~init:0 ~merge:( + )
-      ~map:(fun ~lo ~hi ->
-        let failed_in_chunk = ref 0 in
-        for interval = lo to hi - 1 do
-          let day = interval * 365 / intervals in
-          let field = Rainfield.sample ~seed climate ~day in
-          (* Distances over surviving links. *)
-          let d = ref base in
-          let failed_here = ref 0 in
-          Array.iter
-            (fun ((i, j), link) ->
-              let failed =
-                match link with
-                | Some l -> Failure.link_failed ~node_position:pos field l
-                | None ->
-                  (* Synthetic instance: approximate with a single hop at the
-                     link midpoint. *)
-                  let rain =
-                    Rainfield.rain_at field
-                      (Cisp_geo.Geodesy.midpoint inputs.sites.(i).Cisp_data.City.coord
-                         inputs.sites.(j).Cisp_data.City.coord)
-                  in
-                  Failure.hop_failed ~rain_mm_h:rain ~d_km:60.0 ()
+     its own row of [samples] and slot of [failed_per_interval], so the
+     trials run in parallel with bit-identical results at any pool
+     width.  The failed-link total is summed in index order below. *)
+  Cisp_util.Pool.parallel_for ~min_chunk:trial_chunk (Cisp_util.Pool.get ()) ~n:intervals
+    (fun interval ->
+      let day = interval * 365 / intervals in
+      let field = Rainfield.sample ~seed climate ~day in
+      (* Distances over surviving links. *)
+      let d = ref base in
+      let failed_here = ref 0 in
+      Array.iter
+        (fun ((i, j), link) ->
+          let failed =
+            match link with
+            | Some l -> Failure.link_failed ~node_position:pos field l
+            | None ->
+              (* Synthetic instance: approximate with a single hop at the
+                 link midpoint. *)
+              let rain =
+                Rainfield.rain_at field
+                  (Cisp_geo.Geodesy.midpoint inputs.sites.(i).Cisp_data.City.coord
+                     inputs.sites.(j).Cisp_data.City.coord)
               in
-              if failed then incr failed_here
-              else d := Topology.distances_incremental inputs !d (i, j))
-            links;
-          failed_per_interval.(interval) <- !failed_here;
-          failed_in_chunk := !failed_in_chunk + !failed_here;
-          let dm = !d in
-          let row = Array.make np 0.0 in
-          Array.iteri
-            (fun k (s, t) -> row.(k) <- dm.(s).(t) /. inputs.geodesic_km.(s).(t))
-            pairs;
-          samples.(interval) <- row
-        done;
-        !failed_in_chunk)
-  in
+              Failure.hop_failed ~rain_mm_h:rain ~d_km:60.0 ()
+          in
+          if failed then incr failed_here
+          else d := Topology.distances_incremental inputs !d (i, j))
+        links;
+      failed_per_interval.(interval) <- !failed_here;
+      let dm = !d in
+      let row = Array.make np 0.0 in
+      Array.iteri (fun k (s, t) -> row.(k) <- dm.(s).(t) /. inputs.geodesic_km.(s).(t)) pairs;
+      samples.(interval) <- row);
+  let failed_total = Array.fold_left ( + ) 0 failed_per_interval in
   if Cisp_util.Telemetry.enabled () then begin
     Cisp_util.Telemetry.add "weather.intervals" intervals;
     Array.iter

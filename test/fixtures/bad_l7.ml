@@ -13,4 +13,6 @@ let captured pool =
   !acc
 
 let clean pool arr =
-  Cisp_util.Pool.parallel_map_array pool (fun x -> (x * 2 : int)) arr
+  let out = Array.make (Array.length arr) 0 in
+  Cisp_util.Pool.parallel_for pool ~n:(Array.length arr) (fun i -> out.(i) <- (arr.(i) * 2 : int));
+  out

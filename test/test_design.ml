@@ -247,12 +247,68 @@ let test_cost_per_gb_decreases_with_rate () =
   in
   Alcotest.(check bool) "economies of scale" true (cpg 400.0 < cpg 10.0)
 
+(* A one-site registry with [n] towers within ~5 km of its site. *)
+let mk_registry ~lat ~lon n : Cisp_towers.Hops.t =
+  let site = Cisp_data.City.make "S" ~lat ~lon ~population:1 in
+  let towers =
+    Array.init n (fun k ->
+        Cisp_towers.Tower.make ~id:k
+          ~position:
+            (Cisp_geo.Geodesy.destination site.coord
+               ~bearing_deg:(float_of_int k *. 9.0)
+               ~distance_km:(1.0 +. float_of_int (k mod 4)))
+          ~height_m:60.0 ~source:Cisp_towers.Tower.Fcc)
+  in
+  {
+    config = Cisp_towers.Hops.default_config;
+    sites = [| site |];
+    towers;
+    graph = Cisp_graph.Graph.create (1 + n);
+    n_sites = 1;
+    feasible_hops = 0;
+  }
+
+let test_spare_from_registry_per_registry () =
+  (* Two registries of the same size, 10 degrees apart: each must be
+     indexed on its own (regression — a memo keyed by the registry's
+     sizes handed the second one the first one's towers). *)
+  let a = mk_registry ~lat:40.0 ~lon:(-100.0) 40 in
+  let b = mk_registry ~lat:40.0 ~lon:(-90.0) 40 in
+  let spare_a = Capacity.spare_from_registry a in
+  Alcotest.(check int) "first registry, site to its tower" 8 (spare_a 0 1);
+  let spare_b = Capacity.spare_from_registry b in
+  Alcotest.(check int) "second registry, site to its tower" 8 (spare_b 0 1);
+  Alcotest.(check int) "synthetic hop" 0 (spare_b (-1) (-2))
+
+let test_scenario_validation () =
+  let rejects config msg =
+    Alcotest.check_raises msg (Invalid_argument ("Scenario.artifacts: " ^ msg)) (fun () ->
+        ignore (Scenario.artifacts ~config ()))
+  in
+  let top2 = { Scenario.default_config with n_sites = Some 2 } in
+  rejects { top2 with n_sites = Some 0 } "n_sites = 0 (must be >= 1)";
+  rejects { top2 with n_sites = Some (-3) } "n_sites = -3 (must be >= 1)";
+  rejects { top2 with max_range_km = -1.0 } "max_range_km = -1 (must be finite and >= 0)";
+  rejects { top2 with max_range_km = Float.infinity }
+    "max_range_km = inf (must be finite and >= 0)";
+  rejects { top2 with max_range_km = Float.nan } "max_range_km = nan (must be finite and >= 0)";
+  rejects { top2 with height_fraction = 0.0 } "height_fraction = 0 (must be in (0, 1])";
+  rejects { top2 with height_fraction = 1.5 } "height_fraction = 1.5 (must be in (0, 1])";
+  rejects { top2 with height_fraction = Float.nan } "height_fraction = nan (must be in (0, 1])";
+  Alcotest.check_raises "budget -1"
+    (Invalid_argument "Scenario.design: budget = -1 (must be >= 0)") (fun () ->
+      ignore (Scenario.design inputs ~budget:(-1)));
+  (* Degenerate but valid: zero budget is the empty design. *)
+  let t = Scenario.design inputs ~budget:0 in
+  Alcotest.(check int) "budget 0: no links" 0 (List.length t.Topology.built)
+
 let suites =
   [
     ( "design.inputs",
       [
         Alcotest.test_case "validate" `Quick test_inputs_validate;
         Alcotest.test_case "restrict" `Quick test_inputs_restrict;
+        Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
       ] );
     ( "design.topology",
       [
@@ -287,6 +343,7 @@ let suites =
         Alcotest.test_case "route loads" `Quick test_route_loads_conserve;
         Alcotest.test_case "plan covers demand" `Quick test_capacity_plan_covers_demand;
         Alcotest.test_case "spare reduces new towers" `Quick test_capacity_spare_reduces_new_towers;
+        Alcotest.test_case "spare per registry" `Quick test_spare_from_registry_per_registry;
         Alcotest.test_case "cost model" `Quick test_cost_model;
         Alcotest.test_case "economies of scale" `Quick test_cost_per_gb_decreases_with_rate;
       ] );

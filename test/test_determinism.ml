@@ -213,12 +213,10 @@ let test_los_sweep_width_invariant () =
             ~towers:(Array.to_list towers) ()
         in
         let hits, misses = Cisp_terrain.Dem_cache.stats cache in
-        let surface =
-          Pool.parallel_map_array (Pool.get ())
-            (fun (tw : Cisp_towers.Tower.t) ->
-              Int64.bits_of_float (Cisp_terrain.Dem_cache.surface_m cache tw.position))
-            towers
-        in
+        let surface = Array.make (Array.length towers) 0L in
+        Pool.parallel_for (Pool.get ()) ~n:(Array.length towers) (fun k ->
+            let p = towers.(k).Cisp_towers.Tower.position in
+            surface.(k) <- Int64.bits_of_float (Cisp_terrain.Dem_cache.surface_m cache p));
         (h.Hops.feasible_hops, Hops.all_links h, hits + misses, surface))
   in
   let expected =
