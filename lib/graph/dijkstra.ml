@@ -16,11 +16,29 @@ let rec relax heap dist prev d u = function
     end;
     relax heap dist prev d u rest
 
+(* [relax] over only the edges [keep] accepts.  Skipping an edge here
+   relaxes exactly what a copy of the graph with that edge removed
+   would: the survivors keep their adjacency order. *)
+let rec relax_kept keep heap dist prev d u = function
+  | [] -> ()
+  | (e : Graph.edge) :: rest ->
+    if keep e then begin
+      let nd = d +. e.Graph.weight in
+      if nd < dist.(e.Graph.dst) then begin
+        dist.(e.Graph.dst) <- nd;
+        prev.(e.Graph.dst) <- u;
+        Iheap.push heap nd e.Graph.dst
+      end
+    end;
+    relax_kept keep heap dist prev d u rest
+
 (* [stop_at] is a node index, or -1 for a full single-source run: the
    option wrapper the loop used to re-test per pop is gone along with
    the allocating [Heap.pop].  The queue is an {!Iheap} — same pop
-   order as {!Heap} for any key sequence, but pushes box nothing. *)
-let run_internal g ~src ~stop_at =
+   order as {!Heap} for any key sequence, but pushes box nothing.
+   [keep] is [None] on every unfiltered run, so their relaxation path
+   never calls a filter. *)
+let run_internal g ~keep ~src ~stop_at =
   let n = Graph.node_count g in
   let dist = Array.make n infinity in
   let prev = Array.make n (-1) in
@@ -35,13 +53,16 @@ let run_internal g ~src ~stop_at =
     if not settled.(u) then begin
       settled.(u) <- true;
       if u = stop_at then finished := true
-      else relax heap dist prev d u (Graph.succ g u)
+      else
+        match keep with
+        | None -> relax heap dist prev d u (Graph.succ g u)
+        | Some keep -> relax_kept keep heap dist prev d u (Graph.succ g u)
     end
   done;
   { dist; prev }
 
-let run g ~src = run_internal g ~src ~stop_at:(-1)
-let run_to g ~src ~dst = run_internal g ~src ~stop_at:dst
+let run g ~src = run_internal g ~keep:None ~src ~stop_at:(-1)
+let run_to g ~src ~dst = run_internal g ~keep:None ~src ~stop_at:dst
 
 let path r ~dst =
   if Float.equal r.dist.(dst) infinity then []
@@ -54,6 +75,9 @@ let route r ~dst =
   if Float.equal r.dist.(dst) infinity then None else Some (r.dist.(dst), path r ~dst)
 
 let shortest_path g ~src ~dst = route (run_to g ~src ~dst) ~dst
+
+let shortest_path_filtered g ~keep ~src ~dst =
+  route (run_internal g ~keep:(Some keep) ~src ~stop_at:dst) ~dst
 
 (* Each source's Dijkstra is independent and only reads the graph, so
    the rows compute in parallel; every row is bit-identical to the

@@ -20,6 +20,13 @@ val route : result -> dst:int -> (float * int list) option
 val shortest_path : Graph.t -> src:int -> dst:int -> (float * int list) option
 (** Distance and node list, or [None] if unreachable. *)
 
+val shortest_path_filtered :
+  Graph.t -> keep:(Graph.edge -> bool) -> src:int -> dst:int -> (float * int list) option
+(** {!shortest_path} over only the edges [keep] accepts: the same
+    result, bit for bit, as {!shortest_path} on a copy of the graph
+    with every other edge removed by {!Graph.remove_edges}, without
+    the copy. *)
+
 val all_pairs_results : Graph.t -> sources:int array -> result array
 (** Dijkstra from each listed source, in parallel on the domain pool;
     entry [k] is the full {!result} for [sources.(k)].  This is the

@@ -2,7 +2,6 @@ module Inputs = Cisp_design.Inputs
 module Topology = Cisp_design.Topology
 module Graph = Cisp_graph.Graph
 module Dijkstra = Cisp_graph.Dijkstra
-module Multipath = Cisp_graph.Multipath
 
 type scheme =
   | Shortest_path
@@ -233,7 +232,7 @@ let multigraph n ~mw ~fib =
    alive: each hop uses MW when its MW edge exists and is un-consumed
    (MW is only present where it is the lighter medium, so Dijkstra
    used it), else fiber. *)
-let mp_of_nodes ~mw ~fib ~killed n nodes =
+let mp_of_nodes ~mw ~fib ~consumed n nodes =
   let hops = max 0 (Array.length nodes - 1) in
   let media = Array.make hops Fiber in
   let lat = ref 0.0 in
@@ -241,7 +240,7 @@ let mp_of_nodes ~mw ~fib ~killed n nodes =
     let a = nodes.(h) and b = nodes.(h + 1) in
     let i = min a b and j = max a b in
     let pid = (i * n) + j in
-    if mw.(i).(j) < infinity && not (Hashtbl.mem killed (2 * pid)) then begin
+    if mw.(i).(j) < infinity && not (consumed (2 * pid)) then begin
       media.(h) <- Mw;
       lat := !lat +. mw.(i).(j)
     end
@@ -252,60 +251,106 @@ let mp_of_nodes ~mw ~fib ~killed n nodes =
 (* Successive medium-aware edge-disjoint shortest paths for one
    commodity: each round reports the shortest surviving route, then
    consumes exactly the parallel edges (pair, medium) it used — a
-   backup may take the fiber pair under a consumed MW edge. *)
-let disjoint_routes ~k ~src ~dst base n ~mw ~fib =
-  let killed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let acc = ref [] in
-  let remove work (_, path) =
-    let nodes = Array.of_list path in
-    let mp = mp_of_nodes ~mw ~fib ~killed n nodes in
-    acc := mp :: !acc;
+   backup may take the fiber pair under a consumed MW edge.  Every
+   round runs on the shared fair-weather multigraph and skips the
+   consumed tags as it relaxes: a filtered adjacency list keeps its
+   order, so each round finds the path it would on a pruned copy.
+   [consumed] has one byte per tag, all ['\000'] on entry and on
+   return. *)
+let disjoint_routes ~k ~src ~dst g n ~mw ~fib ~consumed =
+  let is_consumed tag = Bytes.get consumed tag <> '\000' in
+  let keep (e : Graph.edge) = not (is_consumed e.Graph.tag) in
+  let mark byte mp =
     Array.iteri
       (fun h medium ->
-        let a = nodes.(h) and b = nodes.(h + 1) in
+        let a = mp.nodes.(h) and b = mp.nodes.(h + 1) in
         let pid = (min a b * n) + max a b in
-        let tag = match medium with Mw -> 2 * pid | Fiber -> (2 * pid) + 1 in
-        Hashtbl.replace killed tag ())
-      mp.media;
-    Graph.remove_edges work (fun _ e -> not (Hashtbl.mem killed e.Graph.tag))
+        Bytes.set consumed (match medium with Mw -> 2 * pid | Fiber -> (2 * pid) + 1) byte)
+      mp.media
   in
-  ignore (Multipath.successive base ~src ~dst ~k ~remove);
-  Array.of_list (List.rev !acc)
+  let rec rounds remaining acc =
+    if remaining = 0 then acc
+    else
+      match Dijkstra.shortest_path_filtered g ~keep ~src ~dst with
+      | None -> acc
+      | Some (_, path) ->
+        let mp = mp_of_nodes ~mw ~fib ~consumed:is_consumed n (Array.of_list path) in
+        mark '\001' mp;
+        rounds (remaining - 1) (mp :: acc)
+  in
+  let routes = rounds k [] in
+  List.iter (mark '\000') routes;
+  Array.of_list (List.rev routes)
 
-let multipath_table m scheme ~demands_gbps =
+(* Up to [k] disjoint routes for every commodity with demand that has
+   one, in (s, t) order.  Independent of the split rule, so every
+   multipath scheme with this [k] shares one computation. *)
+let disjoint_sets m ~k ~demands_gbps =
+  if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
   let n = Inputs.n_sites m.inputs in
   let mw, fib = medium_tables m in
-  let table : (int * int, multipath) Hashtbl.t = Hashtbl.create 1024 in
-  (match scheme with
-  | K_disjoint_split k | K_disjoint_failover k ->
-    if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
-    let base = multigraph n ~mw ~fib in
-    for s = 0 to n - 1 do
-      for t = 0 to n - 1 do
-        if t <> s && demands_gbps.(s).(t) > 0.0 then begin
-          let routes = disjoint_routes ~k ~src:s ~dst:t base n ~mw ~fib in
-          if Array.length routes > 0 then begin
-            let split =
-              match scheme with
-              | K_disjoint_split _ ->
-                let inv = Array.map (fun p -> 1.0 /. Float.max 1e-9 p.latency_km) routes in
-                let total = Array.fold_left ( +. ) 0.0 inv in
-                Array.map (fun w -> w /. total) inv
-              | _ -> Array.init (Array.length routes) (fun i -> if i = 0 then 1.0 else 0.0)
-            in
-            Hashtbl.replace table (s, t) { routes; split }
-          end
-        end
-      done
+  let g = multigraph n ~mw ~fib in
+  (* One byte per (pair, medium) tag, reused by every commodity. *)
+  let consumed = Bytes.make (2 * n * n) '\000' in
+  let sets = ref [] in
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if t <> s && demands_gbps.(s).(t) > 0.0 then begin
+        let routes = disjoint_routes ~k ~src:s ~dst:t g n ~mw ~fib ~consumed in
+        if Array.length routes > 0 then sets := ((s, t), routes) :: !sets
+      end
     done
+  done;
+  List.rev !sets
+
+let table_of_sets scheme sets =
+  let table : (int * int, multipath) Hashtbl.t = Hashtbl.create 1024 in
+  List.iter
+    (fun (key, routes) ->
+      let split =
+        match scheme with
+        | K_disjoint_split _ ->
+          let inv = Array.map (fun p -> 1.0 /. Float.max 1e-9 p.latency_km) routes in
+          let total = Array.fold_left ( +. ) 0.0 inv in
+          Array.map (fun w -> w /. total) inv
+        | _ -> Array.init (Array.length routes) (fun i -> if i = 0 then 1.0 else 0.0)
+      in
+      Hashtbl.replace table key { routes; split })
+    sets;
+  table
+
+let multipath_table m scheme ~demands_gbps =
+  match scheme with
+  | K_disjoint_split k | K_disjoint_failover k ->
+    table_of_sets scheme (disjoint_sets m ~k ~demands_gbps)
   | Shortest_path | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
-    let no_kills : (int, unit) Hashtbl.t = Hashtbl.create 1 in
+    let n = Inputs.n_sites m.inputs in
+    let mw, fib = medium_tables m in
+    let table : (int * int, multipath) Hashtbl.t = Hashtbl.create 1024 in
     Cisp_util.Tbl.iter_sorted
       (fun key nodes ->
-        let mp = mp_of_nodes ~mw ~fib ~killed:no_kills n nodes in
+        let mp = mp_of_nodes ~mw ~fib ~consumed:(fun _ -> false) n nodes in
         Hashtbl.replace table key { routes = [| mp |]; split = [| 1.0 |] })
-      (paths m scheme ~demands_gbps));
-  table
+      (paths m scheme ~demands_gbps);
+    table
+
+let disjoint_tables m schemes ~demands_gbps =
+  let sets_by_k = ref [] in
+  List.map
+    (fun scheme ->
+      match scheme with
+      | K_disjoint_split k | K_disjoint_failover k ->
+        let sets =
+          match List.assoc_opt k !sets_by_k with
+          | Some sets -> sets
+          | None ->
+            let sets = disjoint_sets m ~k ~demands_gbps in
+            sets_by_k := (k, sets) :: !sets_by_k;
+            sets
+        in
+        Some (table_of_sets scheme sets)
+      | Shortest_path | Min_max_utilization | Throughput_optimal | Bounded_stretch _ -> None)
+    schemes
 
 let route_alive ~mw_ok p =
   let ok = ref true in

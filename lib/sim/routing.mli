@@ -92,6 +92,16 @@ val multipath_table :
     split weights are 1/latency-normalized for [K_disjoint_split], all
     mass on the primary otherwise. *)
 
+val disjoint_tables :
+  network_model -> scheme list -> demands_gbps:Cisp_traffic.Matrix.t ->
+  ((int * int), multipath) Hashtbl.t option list
+(** One entry per scheme, in order: [Some (multipath_table m scheme
+    ~demands_gbps)] for [K_disjoint_split] and [K_disjoint_failover],
+    [None] for the single-path schemes.  The route sets depend only on
+    [k], so they are computed once per distinct [k] and shared; only
+    the split weights differ between the two schemes.  Raises
+    [Invalid_argument] as {!multipath_table} does. *)
+
 val select_routes :
   multipath -> mw_ok:(int -> int -> bool) -> (mp_path * float) array
 (** Fast local failover: the routes whose every MW hop survives

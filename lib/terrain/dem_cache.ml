@@ -34,20 +34,51 @@ let no_cell = -1
 let bits = 20
 let mask = (1 lsl bits) - 1
 
+(* Hit and miss counts of one cache on one domain, in a slot of the
+   cache's own: two words that outlive the cache per domain, where a
+   memo would be 16 MB.  Only that domain writes them; [stats] reads
+   them cross-domain as monotone approximations. *)
+type counts = { mutable hits : int; mutable misses : int }
+
+type t = {
+  dem : Dem.t;
+  id : int;
+  counts : counts Cisp_util.Scratch.t;
+  reg_lock : Mutex.t;
+  all_counts : counts list ref; (* under [reg_lock]; for [stats] *)
+}
+
 (* One domain's memo: a direct-mapped cache of [1 lsl bits] slots held
    in two unboxed arrays.  Fixed-size by design — probing, filling and
    evicting are single array accesses, there is no growth or rehash,
    and the hit path allocates nothing.  Each memo is reached only
-   through its domain's [Cisp_util.Scratch] slot, so lookups take no lock
-   and dirty no shared cache line.  The counters are plain ints for
-   the same reason; [stats] reads them cross-domain as monotone
-   approximations. *)
+   through its domain's [Cisp_util.Scratch] slot, so lookups take no
+   lock and dirty no shared cache line.
+
+   A domain has one memo for the whole process, whichever caches it
+   serves: it belongs to the cache that last looked up through it
+   ([owner], a cache id) and counts into that cache's [counts] for
+   this domain.  A claim by another cache empties its keys, so a
+   cached height is always the current owner's.  A memo per cache
+   would be reachable from its domain's local storage for as long as
+   the domain lives, long after the cache itself is dropped. *)
 type memo = {
   keys : int array; (* [no_cell] marks an empty slot *)
   vals : Float.Array.t;
-  mutable hits : int;
-  mutable misses : int;
+  mutable owner : int;
+  mutable counts : counts;
 }
+
+let next_id = Atomic.make 0
+
+let memo =
+  Cisp_util.Scratch.create (fun () ->
+      {
+        keys = Array.make (1 lsl bits) no_cell;
+        vals = Float.Array.create (1 lsl bits);
+        owner = -1;
+        counts = { hits = 0; misses = 0 };
+      })
 
 (* Fibonacci-style multiplicative mix, keeping the product's high bits
    (the well-mixed ones) so nearby cell keys spread over the slot
@@ -56,30 +87,28 @@ let[@inline] mix key = (key * 0x2545F4914F6CDD1D) land max_int
 
 let[@inline] slot_of key = (mix key lsr 42) land mask
 
-type t = {
-  dem : Dem.t;
-  memo : memo Cisp_util.Scratch.t;
-  reg_lock : Mutex.t;
-  memos : memo list ref; (* under [reg_lock]; for [stats] *)
-}
-
 let create dem =
   let reg_lock = Mutex.create () in
-  let memos = ref [] in
-  let memo =
+  let all_counts = ref [] in
+  let counts =
     Cisp_util.Scratch.create (fun () ->
-        let m =
-          {
-            keys = Array.make (1 lsl bits) no_cell;
-            vals = Float.Array.create (1 lsl bits);
-            hits = 0;
-            misses = 0;
-          }
-        in
-        Mutex.protect reg_lock (fun () -> memos := m :: !memos);
-        m)
+        let c = { hits = 0; misses = 0 } in
+        Mutex.protect reg_lock (fun () -> all_counts := c :: !all_counts);
+        c)
   in
-  { dem; memo; reg_lock; memos }
+  { dem; id = Atomic.fetch_and_add next_id 1; counts; reg_lock; all_counts }
+
+(* This domain's memo, claimed for [t] — emptied if another cache
+   owned it.  Runs once per batch, not per sample. *)
+let[@cisp.alloc_ok "claim path: once per change of owner on a domain"] claim t (m : memo) =
+  Array.fill m.keys 0 (Array.length m.keys) no_cell;
+  m.owner <- t.id;
+  m.counts <- Cisp_util.Scratch.get t.counts
+
+let[@inline] memo_for t =
+  let m = Cisp_util.Scratch.get memo in
+  if m.owner <> t.id then claim t m;
+  m
 
 let dem t = t.dem
 
@@ -88,7 +117,7 @@ let dem t = t.dem
    in the slot, evicting whatever cell held it. *)
 let[@cisp.alloc_ok "miss path: the DEM evaluation itself"] miss dem (m : memo) slot key qi qj =
   let v = Dem.surface_m dem (cell_center qi qj) in
-  m.misses <- m.misses + 1;
+  m.counts.misses <- m.counts.misses + 1;
   Array.unsafe_set m.keys slot key;
   Float.Array.unsafe_set m.vals slot v;
   v
@@ -102,13 +131,13 @@ let[@inline] [@cisp.zero_alloc] lookup dem (m : memo) ~lat ~lon =
   let key = pack qi qj in
   let slot = slot_of key in
   if Array.unsafe_get m.keys slot = key then begin
-    m.hits <- m.hits + 1;
+    m.counts.hits <- m.counts.hits + 1;
     Float.Array.unsafe_get m.vals slot
   end
   else miss dem m slot key qi qj
 
 let surface_m t p =
-  lookup t.dem (Cisp_util.Scratch.get t.memo) ~lat:(Coord.lat p) ~lon:(Coord.lon p)
+  lookup t.dem (memo_for t) ~lat:(Coord.lat p) ~lon:(Coord.lon p)
 
 (* Ground heights are read once per LOS endpoint, not per sample:
    evaluated directly, never memoized. *)
@@ -123,7 +152,8 @@ let[@cisp.zero_alloc] surface_samples t ~lats ~lons ~out ~lo ~hi =
     || hi >= Float.Array.length out
   then invalid_arg "Dem_cache.surface_samples: index range outside buffers";
   let dem = t.dem in
-  let m = Cisp_util.Scratch.get t.memo in
+  let m = memo_for t in
+  let counts = m.counts in
   (* The probe is {!lookup} with the store sunk into each branch.
      Calling [lookup] and storing its result would box the hit value:
      the [if] join with [miss]'s (boxed) return value forces the hit
@@ -137,12 +167,12 @@ let[@cisp.zero_alloc] surface_samples t ~lats ~lons ~out ~lo ~hi =
     let key = pack qi qj in
     let slot = slot_of key in
     if Array.unsafe_get m.keys slot = key then begin
-      m.hits <- m.hits + 1;
+      counts.hits <- counts.hits + 1;
       Float.Array.unsafe_set out i (Float.Array.unsafe_get m.vals slot)
     end
     else Float.Array.unsafe_set out i (miss dem m slot key qi qj)
   done
 
 let stats t =
-  let memos = Mutex.protect t.reg_lock (fun () -> !(t.memos)) in
-  List.fold_left (fun (h, m) memo -> (h + memo.hits, m + memo.misses)) (0, 0) memos
+  let all = Mutex.protect t.reg_lock (fun () -> !(t.all_counts)) in
+  List.fold_left (fun (h, m) c -> (h + c.hits, m + c.misses)) (0, 0) all

@@ -7,11 +7,14 @@
     features are tens of km wide) for an order of magnitude in
     throughput.
 
-    Each pool domain keeps its own direct-mapped memo (fixed-size
-    unboxed arrays) in domain-local storage, so a lookup takes no lock,
-    allocates nothing on a hit and touches no shared cache line.  A
-    miss — a new cell, or one evicted by a colliding cell — evaluates
-    the DEM again.  Every value is a pure function of (DEM, cell),
+    Each pool domain keeps one direct-mapped memo (fixed-size unboxed
+    arrays) in domain-local storage for the whole process, so a lookup
+    takes no lock, allocates nothing on a hit and touches no shared
+    cache line.  The memo serves the cache that last looked up through
+    it on that domain: the first lookup by another cache empties it,
+    so a dropped cache leaves no memo behind.  A miss — a new cell,
+    one evicted by a colliding cell, or one emptied by a change of
+    owner — evaluates the DEM again.  Every value is a pure function of (DEM, cell),
     evaluated at the cell's own center, so every height the cache
     returns is bit-identical at any pool width and in any query
     order. *)
@@ -47,7 +50,9 @@ val surface_samples :
     range falls outside any buffer. *)
 
 val stats : t -> int * int
-(** (hits, misses) of {!surface_m} and {!surface_samples} lookups,
-    summed over all domains' memos — for tests and tuning.  A cell
-    first seen by two domains is a miss in each.  Totals are exact
-    for a quiescent cache: hits + misses = lookups. *)
+(** (hits, misses) of this cache's {!surface_m} and
+    {!surface_samples} lookups, summed over all domains — for tests
+    and tuning.  A cell first seen by two domains is a miss in each,
+    and so is a cell looked up again after another cache took the
+    domain's memo over.  Totals are exact for a quiescent cache:
+    hits + misses = lookups. *)

@@ -81,6 +81,26 @@ let rain_at t p =
       Float.max acc (s.peak_mm_h *. exp (-.(x *. x))))
     0.0 t.storms
 
+(* [rain_at]'s term for a storm is at most [mm_h] beyond
+   [radius_km *. sqrt (log (peak_mm_h /. mm_h))] of its center, and
+   never above its peak.  By the triangle inequality, a point within
+   [radius_km] of [center] is at least [d - radius_km] from a storm at
+   distance [d] from [center]; 1 km of slack absorbs the rounding of
+   the computed distances.  So every dropped storm's term is at most
+   [mm_h] at every such point, and [rain_at]'s maximum, whenever it
+   exceeds [mm_h], is a kept storm's term. *)
+let near t ~mm_h ~center ~radius_km =
+  {
+    t with
+    storms =
+      List.filter
+        (fun s ->
+          s.peak_mm_h > mm_h
+          && Geodesy.distance_km s.center center -. radius_km
+             <= (s.radius_km *. sqrt (log (s.peak_mm_h /. mm_h))) +. 1.0)
+        t.storms;
+  }
+
 let hurricane ~center =
   {
     day = 120;

@@ -35,6 +35,14 @@ val sample : ?seed:int -> climate -> day:int -> t
 val rain_at : t -> Cisp_geo.Coord.t -> float
 (** Rain rate in mm/h (max over overlapping cells). *)
 
+val near : t -> mm_h:float -> center:Cisp_geo.Coord.t -> radius_km:float -> t
+(** The storms of the field that may rain more than [mm_h] ([>= 0])
+    somewhere within [radius_km] of [center], one distance per storm.
+    At every point [p] in that disc, [rain_at (near t ...) p] and
+    [rain_at t p] are equal, bit for bit, whenever either exceeds
+    [mm_h], and both are at most [mm_h] otherwise.  No storms left
+    means the whole disc is dry. *)
+
 val hurricane : center:Cisp_geo.Coord.t -> t
 (** A stationary, intense, wide system (for the §2 Hurricane-Sandy
     style stress test). *)

@@ -57,48 +57,32 @@ let standard_suite ?(intervals = 8) ~climate ~hurricane_center () =
     Correlated_towers { blobs = 2; radius_km = 150.0; intervals };
   ]
 
-(* Does one built link fail under a given rain field?  Mirrors
-   [Year.run]: links without hop data (synthetic instances) are a
-   single 60 km hop sampled at the site-to-site midpoint. *)
-let link_fails_in_field ~params ~pos (inputs : Inputs.t) field ((i, j), link) =
-  match link with
-  | Some l -> Failure.link_failed ~params ~node_position:pos field l
-  | None ->
-    let rain =
-      Rainfield.rain_at field
-        (Geodesy.midpoint inputs.Inputs.sites.(i).Cisp_data.City.coord
-           inputs.Inputs.sites.(j).Cisp_data.City.coord)
-    in
-    Failure.hop_failed ~params ~rain_mm_h:rain ~d_km:60.0 ()
-
 (* The per-interval outage set, a pure function of (spec, seed,
    interval): writes [fails.(b)] for every built-link index [b]. *)
-let interval_failures ~seed ~params ~pos ~hops (inputs : Inputs.t) ~links spec iv fails =
+let interval_failures ~seed ~params ~hops (inputs : Inputs.t) ~links spec iv fails =
   match spec with
   | Uniform_rain { mm_h } ->
     Array.iteri
-      (fun b (_, link) ->
+      (fun b link ->
         fails.(b) <-
           (match link with
-          | Some l ->
-            List.exists
-              (fun (u, v) ->
-                let d = Geodesy.distance_km (pos u) (pos v) in
-                d > 0.0 && Failure.hop_failed ~params ~rain_mm_h:mm_h ~d_km:d ())
-              (Hops.hops_of_link l)
-          | None -> Failure.hop_failed ~params ~rain_mm_h:mm_h ~d_km:60.0 ()))
+          | Replay.Hop_path { geometry; _ } ->
+            Array.exists
+              (fun d -> d > 0.0 && Failure.hop_failed ~params ~rain_mm_h:mm_h ~d_km:d ())
+              geometry.Failure.hop_km
+          | Replay.Site_midpoint _ -> Failure.hop_failed ~params ~rain_mm_h:mm_h ~d_km:60.0 ()))
       links
   | Rain_replay { climate; intervals } ->
     let day = iv * 365 / intervals in
     let field = Rainfield.sample ~seed climate ~day in
-    Array.iteri (fun b l -> fails.(b) <- link_fails_in_field ~params ~pos inputs field l) links
+    Array.iteri (fun b l -> fails.(b) <- Replay.link_failed ~params field l) links
   | Hurricane { center; track_bearing_deg; step_km; _ } ->
     let eye =
       Geodesy.destination center ~bearing_deg:track_bearing_deg
         ~distance_km:(step_km *. float_of_int iv)
     in
     let field = Rainfield.hurricane ~center:eye in
-    Array.iteri (fun b l -> fails.(b) <- link_fails_in_field ~params ~pos inputs field l) links
+    Array.iteri (fun b l -> fails.(b) <- Replay.link_failed ~params field l) links
   | Correlated_towers { blobs; radius_km; _ } ->
     let rng = Cisp_util.Rng.create (seed + (iv * 7919)) in
     let n_towers = Array.length hops.Hops.towers in
@@ -112,31 +96,48 @@ let interval_failures ~seed ~params ~pos ~hops (inputs : Inputs.t) ~links spec i
     in
     let hit p = Array.exists (fun c -> Geodesy.distance_km c p <= radius_km) centers in
     Array.iteri
-      (fun b ((i, j), link) ->
+      (fun b link ->
         fails.(b) <-
           (match link with
-          | Some l ->
+          | Replay.Hop_path { path; _ } ->
             (* A regional outage takes down the towers inside the blob;
                a link dies when any of its relay towers does. *)
-            List.exists (fun node -> node >= hops.Hops.n_sites && hit (pos node)) l.Hops.node_path
-          | None ->
-            hit
-              (Geodesy.midpoint inputs.Inputs.sites.(i).Cisp_data.City.coord
-                 inputs.Inputs.sites.(j).Cisp_data.City.coord)))
+            List.exists
+              (fun node -> node >= hops.Hops.n_sites && hit (Replay.node_position hops node))
+              path.Hops.node_path
+          | Replay.Site_midpoint mid -> hit mid))
       links
+
+let validate_spec spec =
+  let bad field value = invalid_arg (Printf.sprintf "Scenarios.run: %s = %s" field value) in
+  let finite field x =
+    if not (Float.is_finite x) then bad field (Printf.sprintf "%g (must be finite)" x)
+  in
+  let finite_nonneg field x =
+    if not (Float.is_finite x && x >= 0.0) then
+      bad field (Printf.sprintf "%g (must be finite and >= 0)" x)
+  in
+  match spec with
+  | Uniform_rain { mm_h } -> finite_nonneg "mm_h" mm_h
+  | Rain_replay _ -> ()
+  | Hurricane { track_bearing_deg; step_km; _ } ->
+    finite "track_bearing_deg" track_bearing_deg;
+    finite "step_km" step_km
+  | Correlated_towers { blobs; radius_km; _ } ->
+    if blobs < 1 then bad "blobs" (Printf.sprintf "%d (must be >= 1)" blobs);
+    finite_nonneg "radius_km" radius_km
 
 let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
     ~(model : Routing.network_model) ~demands_gbps spec =
   let intervals = spec_intervals spec in
   if intervals <= 0 then invalid_arg "Scenarios.run: intervals <= 0";
+  validate_spec spec;
   (match schemes with [] -> invalid_arg "Scenarios.run: no schemes" | _ :: _ -> ());
   Cisp_util.Telemetry.with_span "scenarios.run" (fun () ->
       let inputs = model.Routing.inputs in
       let n = Inputs.n_sites inputs in
       let built = Array.of_list model.Routing.topology.Topology.built in
-      let links =
-        Array.map (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j))) built
-      in
+      let links = Replay.built_links ~hops inputs built in
       let built_idx = Hashtbl.create (2 * Array.length built) in
       Array.iteri
         (fun b (i, j) ->
@@ -154,43 +155,33 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
       let commodities = Array.of_list !commodities in
       let nc = Array.length commodities in
       let n_schemes = List.length schemes in
-      (* Precompute the fair-weather multipath tables once; single-path
+      (* The fair-weather multipath tables, computed once (one route
+         computation per k, shared by failover and split); single-path
          schemes instead model global recompute and re-route inside
-         each interval.  The tables are read-only in the workers. *)
+         each outage set's row.  The tables are read-only in the
+         workers. *)
       let tables =
-        Array.of_list
-          (List.map
-             (fun (_, sch) ->
-               match sch with
-               | Routing.K_disjoint_split _ | Routing.K_disjoint_failover _ ->
-                 Some (Routing.multipath_table model sch ~demands_gbps)
-               | Routing.Shortest_path | Routing.Min_max_utilization
-               | Routing.Throughput_optimal | Routing.Bounded_stretch _ ->
-                 None)
-             schemes)
+        Array.of_list (Routing.disjoint_tables model (List.map snd schemes) ~demands_gbps)
       in
       let scheme_list = Array.of_list (List.map snd schemes) in
-      (* Interval-major storage: samples.(iv).((si * nc) + c) is the
-         stretch of commodity [c] under scheme [si] in interval [iv];
-         nan = unavailable.  Each interval's task allocates and owns
-         its whole row — the old scheme-major matrix had parallel
-         intervals writing adjacent floats of every (scheme, commodity)
-         row, false-sharing each row's cache lines across all
-         domains. *)
-      let samples = Array.make intervals [||] in
-      let failed_per_interval = Array.make intervals 0 in
-      let pos = Year.node_position hops in
-      (* Intervals are independent trials: each derives its outage set
-         purely from (seed, interval) and writes only its own row of
-         [samples] and slot of [failed_per_interval], so the loop is
+      (* The replay (see {!Replay}): every interval's outage set, a
+         pure function of (spec, seed, interval); then one row per
+         distinct set, holding at [(si * nc) + c] the stretch of
+         commodity [c] under scheme [si] (nan = unavailable).  Each
+         parallel body writes only its own slots, so the replay is
          bit-identical at any pool width. *)
+      let sets = Array.make intervals [||] in
+      let failed_per_interval = Array.make intervals 0 in
       Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n:intervals (fun iv ->
+          let fails = Array.make (Array.length links) false in
+          interval_failures ~seed ~params ~hops inputs ~links spec iv fails;
+          failed_per_interval.(iv) <- Replay.failed_links fails;
+          sets.(iv) <- fails);
+      let set_of, distinct = Replay.group sets in
+      let rows = Array.make (Array.length distinct) [||] in
+      Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n:(Array.length distinct) (fun id ->
+          let fails = distinct.(id) in
           let row = Array.make (n_schemes * nc) Float.nan in
-          let fails = Array.make (Array.length built) false in
-          interval_failures ~seed ~params ~pos ~hops inputs ~links spec iv fails;
-          let failed_here = ref 0 in
-          Array.iter (fun f -> if f then incr failed_here) fails;
-          failed_per_interval.(iv) <- !failed_here;
           let mw_ok i j =
             match Hashtbl.find_opt built_idx (i, j) with
             | Some b -> not fails.(b)
@@ -228,11 +219,13 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
                         /. inputs.Inputs.geodesic_km.(s).(t)))
                   commodities)
             scheme_list;
-          samples.(iv) <- row);
+          rows.(id) <- row);
+      let samples = Array.map (fun id -> rows.(id)) set_of in
       let failed_total = ref 0 in
       Array.iter (fun c -> failed_total := !failed_total + c) failed_per_interval;
       if Cisp_util.Telemetry.enabled () then begin
         Cisp_util.Telemetry.add "scenarios.intervals" intervals;
+        Cisp_util.Telemetry.add "scenarios.outage_sets" (Array.length distinct);
         Cisp_util.Telemetry.add "scenarios.commodities" nc;
         Array.iter
           (fun c -> Cisp_util.Telemetry.observe "scenarios.failed_links" (float_of_int c))

@@ -20,7 +20,9 @@
 
     Every run is a pure function of (spec, seed): intervals are
     independent trials parallelized over the domain pool, bit-identical
-    at any [CISP_JOBS] width. *)
+    at any [CISP_JOBS] width.  Intervals with the same outage set share
+    one evaluation (see {!Replay}), and the disjoint route sets are
+    computed once per run and per k. *)
 
 type spec =
   | Uniform_rain of { mm_h : float }
@@ -89,7 +91,10 @@ val run :
     tower paths of built links (links without hop data are
     approximated by a single 60 km hop at the link midpoint, exactly
     like {!Year.run}).  Raises [Invalid_argument] on a non-positive
-    interval count or an empty scheme list. *)
+    interval count, an empty scheme list, or a spec field out of range
+    (naming the field and its value): a negative or non-finite
+    [mm_h] or [radius_km], a non-finite [step_km] or
+    [track_bearing_deg], or [blobs < 1]. *)
 
 val frontier_csv : result list -> string
 (** The stretch/availability frontier as CSV

@@ -1,4 +1,3 @@
-module Hops = Cisp_towers.Hops
 module Inputs = Cisp_design.Inputs
 module Topology = Cisp_design.Topology
 
@@ -10,10 +9,6 @@ type result = {
   per_pair : pair_summary array;
 }
 
-let node_position (hops : Hops.t) node =
-  if node < hops.Hops.n_sites then hops.Hops.sites.(node).Cisp_data.City.coord
-  else hops.Hops.towers.(node - hops.Hops.n_sites).Cisp_towers.Tower.position
-
 let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo : Topology.t) =
   if intervals < 1 then
     invalid_arg (Printf.sprintf "Year.run: intervals must be >= 1 (got %d)" intervals);
@@ -21,14 +16,7 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
   let n = Inputs.n_sites inputs in
   let base = Topology.fiber_baseline inputs in
   let built = Array.of_list topo.Topology.built in
-  let links =
-    Array.map
-      (fun (i, j) ->
-        match inputs.Inputs.mw_links.(i).(j) with
-        | Some l -> ((i, j), Some l)
-        | None -> ((i, j), None))
-      built
-  in
+  let links = Replay.built_links ~hops inputs built in
   let pairs = ref [] in
   for s = 0 to n - 1 do
     for t = s + 1 to n - 1 do
@@ -38,56 +26,45 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
   done;
   let pairs = Array.of_list (List.rev !pairs) in
   let np = Array.length pairs in
-  (* Interval-major storage: each trial allocates and owns a whole
-     row.  The old pair-major matrix had parallel trials writing
-     adjacent floats of every row (column [interval] of each pair),
-     false-sharing each row's cache lines across all domains for the
-     length of the run. *)
-  let samples = Array.make intervals [||] in
+  let params = Failure.default_params in
+  (* Each interval's rain field is a pure function of (seed, day) —
+     its own RNG stream.  An outage set's row holds every pair's
+     stretch over the surviving links, folded in built order from the
+     fiber baseline.  Rows are interval-major, one array each: a
+     pair-major matrix would have parallel rows writing adjacent
+     floats of every pair's column, false-sharing its cache lines
+     across all domains. *)
+  let sets = Array.make intervals [||] in
   let failed_per_interval = Array.make intervals 0 in
-  let pos = node_position hops in
-  (* A single trial costs roughly a rain-field sample plus one O(n^2)
-     metric relaxation per surviving link — batch a few per claim of
-     the pool's chunk counter. *)
-  let trial_chunk = 4 in
-  (* Each interval is an independent trial: its rain field is a pure
-     function of (seed, day) — its own RNG stream — and it writes only
-     its own row of [samples] and slot of [failed_per_interval], so the
-     trials run in parallel with bit-identical results at any pool
-     width.  The failed-link total is summed in index order below. *)
-  Cisp_util.Pool.parallel_for ~min_chunk:trial_chunk (Cisp_util.Pool.get ()) ~n:intervals
+  (* A single interval costs a rain-field sample plus one rain test
+     per hop — batch a few per claim of the pool's chunk counter. *)
+  let outage_chunk = 4 in
+  Cisp_util.Pool.parallel_for ~min_chunk:outage_chunk (Cisp_util.Pool.get ()) ~n:intervals
     (fun interval ->
       let day = interval * 365 / intervals in
       let field = Rainfield.sample ~seed climate ~day in
-      (* Distances over surviving links. *)
+      let fails = Array.map (Replay.link_failed ~params field) links in
+      failed_per_interval.(interval) <- Replay.failed_links fails;
+      sets.(interval) <- fails);
+  let set_of, distinct = Replay.group sets in
+  let rows = Array.make (Array.length distinct) [||] in
+  (* A row costs one O(n^2) metric update per surviving link: worth a
+     claim of its own. *)
+  Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n:(Array.length distinct) (fun id ->
+      let fails = distinct.(id) in
       let d = ref base in
-      let failed_here = ref 0 in
-      Array.iter
-        (fun ((i, j), link) ->
-          let failed =
-            match link with
-            | Some l -> Failure.link_failed ~node_position:pos field l
-            | None ->
-              (* Synthetic instance: approximate with a single hop at the
-                 link midpoint. *)
-              let rain =
-                Rainfield.rain_at field
-                  (Cisp_geo.Geodesy.midpoint inputs.sites.(i).Cisp_data.City.coord
-                     inputs.sites.(j).Cisp_data.City.coord)
-              in
-              Failure.hop_failed ~rain_mm_h:rain ~d_km:60.0 ()
-          in
-          if failed then incr failed_here
-          else d := Topology.distances_incremental inputs !d (i, j))
-        links;
-      failed_per_interval.(interval) <- !failed_here;
+      Array.iteri
+        (fun b ij -> if not fails.(b) then d := Topology.distances_incremental inputs !d ij)
+        built;
       let dm = !d in
       let row = Array.make np 0.0 in
       Array.iteri (fun k (s, t) -> row.(k) <- dm.(s).(t) /. inputs.geodesic_km.(s).(t)) pairs;
-      samples.(interval) <- row);
+      rows.(id) <- row);
+  let samples = Array.map (fun id -> rows.(id)) set_of in
   let failed_total = Array.fold_left ( + ) 0 failed_per_interval in
   if Cisp_util.Telemetry.enabled () then begin
     Cisp_util.Telemetry.add "weather.intervals" intervals;
+    Cisp_util.Telemetry.add "weather.outage_sets" (Array.length distinct);
     Array.iter
       (fun c -> Cisp_util.Telemetry.observe "weather.failed_links" (float_of_int c))
       failed_per_interval

@@ -17,6 +17,7 @@ let () =
          Test_design.suites;
          Test_sim.suites;
          Test_weather.suites;
+         Test_replay.suites;
          Test_apps.suites;
          Test_integration.suites;
          Test_determinism.suites;

@@ -286,6 +286,54 @@ let test_cache_slot_collision () =
       (0, 2 * round) (Dem_cache.stats cache)
   done
 
+let test_cache_alternating_owners () =
+  (* Two caches over different DEMs share this domain's memo, taking
+     it over in turn: each lookup returns its own DEM's cell-center
+     height, never the other cache's, and each cache's stats count
+     exactly its own lookups. *)
+  let other = Dem.create ~seed:11 Dem.Us_continental in
+  let a = Dem_cache.create us and b = Dem_cache.create other in
+  let p = coord ~lat:39.5 ~lon:(-105.2) in
+  Alcotest.(check bool) "the two DEMs differ at the cell" false
+    (Float.equal (Dem.surface_m us (Dem_cache.snap p)) (Dem.surface_m other (Dem_cache.snap p)));
+  for round = 1 to 3 do
+    check_cell_value (Printf.sprintf "first cache, round %d" round) p (Dem_cache.surface_m a p);
+    Alcotest.(check int64)
+      (Printf.sprintf "second cache, round %d" round)
+      (Int64.bits_of_float (Dem.surface_m other (Dem_cache.snap p)))
+      (Int64.bits_of_float (Dem_cache.surface_m b p))
+  done;
+  (* Every takeover empties the memo, so every lookup above missed. *)
+  Alcotest.(check (pair int int)) "first cache's stats" (0, 3) (Dem_cache.stats a);
+  Alcotest.(check (pair int int)) "second cache's stats" (0, 3) (Dem_cache.stats b);
+  ignore (Dem_cache.surface_m b p);
+  Alcotest.(check (pair int int)) "owner's repeat lookup hits" (1, 3) (Dem_cache.stats b)
+
+let test_cache_dropped_memo () =
+  (* A domain has one memo whichever caches it serves: four caches
+     created, used once and dropped in turn grow the live heap by at
+     most one memo (the first use on a domain that has none yet), not
+     one memo per cache.  Each memo's keys are an int array and its
+     heights a floatarray, 2^20 slots each. *)
+  let memo_words = 2 * (1 lsl 20) in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let use_one_cache i =
+    let cache = Dem_cache.create us in
+    ignore (Dem_cache.surface_m cache (coord ~lat:(30.0 +. float_of_int i) ~lon:(-100.0)))
+  in
+  let before = live_words () in
+  for i = 1 to 4 do
+    use_one_cache i
+  done;
+  let grown = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %d words; one memo is %d" grown memo_words)
+    true
+    (grown <= memo_words + (memo_words / 2))
+
 let test_cache_telemetry_stress () =
   (* 8 domains race their memos' miss paths while hammering telemetry:
      counter totals stay exact, cache stats stay coherent (every query
@@ -355,6 +403,9 @@ let suites =
         Alcotest.test_case "order independence" `Quick test_cache_order_independence;
         Alcotest.test_case "width invariance" `Slow test_cache_width_invariance;
         Alcotest.test_case "slot collision" `Quick test_cache_slot_collision;
+        Alcotest.test_case "alternating owners" `Quick test_cache_alternating_owners;
+        Alcotest.test_case "dropped caches free their memo" `Quick
+          test_cache_dropped_memo;
         Alcotest.test_case "telemetry stress at jobs 8" `Slow
           test_cache_telemetry_stress;
       ] );

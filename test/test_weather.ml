@@ -162,7 +162,8 @@ let test_zero_hop_link_cannot_fail () =
   in
   let field = Rainfield.hurricane ~center:p in
   Alcotest.(check bool) "zero-length hop cannot fail" false
-    (Failure.link_failed ~node_position:(fun _ -> p) field link)
+    (Failure.geometry_failed ~params:Failure.default_params field
+       (Failure.link_geometry ~node_position:(fun _ -> p) link))
 
 let test_zero_hop_does_not_shadow_real_hops () =
   (* A real 80 km hop whose midpoint sits on the eye, followed by a
@@ -177,7 +178,8 @@ let test_zero_hop_does_not_shadow_real_hops () =
   let node_position n = if n = 0 then a else b in
   let field = Rainfield.hurricane ~center:p in
   Alcotest.(check bool) "wet real hop still fails" true
-    (Failure.link_failed ~node_position field link)
+    (Failure.geometry_failed ~params:Failure.default_params field
+       (Failure.link_geometry ~node_position link))
 
 (* ---------- failure-scenario engine ---------- *)
 
@@ -280,7 +282,32 @@ let test_scenarios_validation () =
     (Invalid_argument "Scenarios.run: no schemes") (fun () ->
       ignore
         (Scenarios.run ~schemes:[] ~hops ~model ~demands_gbps:demands
-           (Scenarios.Uniform_rain { mm_h = 0.0 })))
+           (Scenarios.Uniform_rain { mm_h = 0.0 })));
+  let center = model.Cisp_sim.Routing.inputs.Cisp_design.Inputs.sites.(0).Cisp_data.City.coord in
+  let hurricane ~bearing ~step =
+    Scenarios.Hurricane { center; track_bearing_deg = bearing; step_km = step; intervals = 3 }
+  in
+  let towers ~blobs ~radius =
+    Scenarios.Correlated_towers { blobs; radius_km = radius; intervals = 3 }
+  in
+  (* Each bad field is named with its value; before the checks these
+     escaped as [Array.init]'s error or reported a dry, fully
+     available network. *)
+  List.iter
+    (fun (message, spec) ->
+      Alcotest.check_raises message (Invalid_argument message) (fun () ->
+          ignore (Scenarios.run ~schemes ~hops ~model ~demands_gbps:demands spec)))
+    [
+      ("Scenarios.run: mm_h = -5 (must be finite and >= 0)", Scenarios.Uniform_rain { mm_h = -5.0 });
+      ("Scenarios.run: mm_h = nan (must be finite and >= 0)", Scenarios.Uniform_rain { mm_h = Float.nan });
+      ("Scenarios.run: mm_h = inf (must be finite and >= 0)", Scenarios.Uniform_rain { mm_h = infinity });
+      ("Scenarios.run: step_km = nan (must be finite)", hurricane ~bearing:40.0 ~step:Float.nan);
+      ("Scenarios.run: track_bearing_deg = inf (must be finite)", hurricane ~bearing:infinity ~step:60.0);
+      ("Scenarios.run: blobs = -1 (must be >= 1)", towers ~blobs:(-1) ~radius:150.0);
+      ("Scenarios.run: blobs = 0 (must be >= 1)", towers ~blobs:0 ~radius:150.0);
+      ("Scenarios.run: radius_km = -1 (must be finite and >= 0)", towers ~blobs:2 ~radius:(-1.0));
+      ("Scenarios.run: radius_km = nan (must be finite and >= 0)", towers ~blobs:2 ~radius:Float.nan);
+    ]
 
 let suites =
   [
