@@ -51,6 +51,12 @@ let region_t =
 let sites_t =
   Arg.(value & opt (some positive_int) None & info [ "sites" ] ~docv:"N" ~doc:"Top-N population centers (default: all)")
 
+(* Stretch and availability are per site pair: with one site there is
+   no pair to report on. *)
+let pair_sites_t =
+  let at_least_two = int_conv ~expected:"at least 2 sites" (fun n -> n >= 2) in
+  Arg.(value & opt (some at_least_two) None & info [ "sites" ] ~docv:"N" ~doc:"Top-N population centers, at least 2 (default: all)")
+
 let budget_t =
   Arg.(value & opt (some non_negative_int) None & info [ "budget" ] ~docv:"TOWERS" ~doc:"Tower budget (default: 27 per site)")
 
@@ -182,7 +188,7 @@ let weather_cmd =
   in
   Cmd.v
     (Cmd.info "weather" ~doc:"Year-long precipitation sweep (paper section 6.1)")
-    Term.(const run $ jobs_t $ telemetry_t $ region_t $ sites_t $ budget_t $ intervals_t)
+    Term.(const run $ jobs_t $ telemetry_t $ region_t $ pair_sites_t $ budget_t $ intervals_t)
 
 (* ---------- scenarios ---------- *)
 
@@ -261,14 +267,14 @@ let scenarios_cmd =
     (Cmd.info "scenarios"
        ~doc:"Failure-scenario suite: stretch/availability frontier per routing scheme")
     Term.(
-      const run $ jobs_t $ telemetry_t $ region_t $ sites_t $ budget_t $ gbps_t $ intervals_t
+      const run $ jobs_t $ telemetry_t $ region_t $ pair_sites_t $ budget_t $ gbps_t $ intervals_t
       $ k_t $ csv_t)
 
 (* ---------- econ ---------- *)
 
 let econ_cmd =
   let cost_t =
-    Arg.(value & opt float 0.81 & info [ "cost-per-gb" ] ~docv:"USD" ~doc:"Network cost per GB")
+    Arg.(value & opt non_negative_float 0.81 & info [ "cost-per-gb" ] ~docv:"USD" ~doc:"Network cost per GB")
   in
   let run cost_per_gb =
     Printf.printf "%-14s %-22s %s\n" "application" "value per GB" "exceeds cost?";

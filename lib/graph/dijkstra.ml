@@ -32,12 +32,10 @@ let rec relax_kept keep heap dist prev d u = function
     end;
     relax_kept keep heap dist prev d u rest
 
-(* [stop_at] is a node index, or -1 for a full single-source run: the
-   option wrapper the loop used to re-test per pop is gone along with
-   the allocating [Heap.pop].  The queue is an {!Iheap} — same pop
-   order as {!Heap} for any key sequence, but pushes box nothing.
-   [keep] is [None] on every unfiltered run, so their relaxation path
-   never calls a filter. *)
+(* [stop_at] is a node index, or -1 for a full single-source run, so
+   the loop re-tests no option per pop.  The queue is an {!Iheap}:
+   pushes and pops box nothing.  [keep] is [None] on every unfiltered
+   run, so their relaxation path never calls a filter. *)
 let run_internal g ~keep ~src ~stop_at =
   let n = Graph.node_count g in
   let dist = Array.make n infinity in

@@ -1,8 +1,11 @@
-(* Monomorphic min-heap over (float key, int payload).  Same sift
-   logic as {!Heap} — pop order for any key sequence is identical —
-   but both columns are flat unboxed arrays, so push/pop touch no heap
-   blocks at all.  This is the priority queue of Dijkstra's
-   relaxation loop, which runs under the zero-alloc contract (L10). *)
+(* Monomorphic min-heap over (float key, int payload).  Both columns
+   are flat unboxed arrays, so push/pop touch no heap blocks at all.
+   Pop order is decided by the keys alone (the sift loops compare
+   nothing else), so equal keys come out in an order fixed by the
+   push/pop sequence, whatever the payloads are.  This is the one
+   priority queue of the repo: Dijkstra's relaxation loop (under the
+   zero-alloc contract, L10), the packet simulator's event queue, the
+   lazy greedy and the branch-and-bound frontier. *)
 
 type t = {
   mutable keys : float array;
@@ -51,7 +54,8 @@ let rec sift_down h i =
     sift_down h smallest
   end
 
-let push h key v =
+(* Inlined so a caller's float key reaches the column unboxed. *)
+let[@inline] push h key v =
   if h.size = Array.length h.keys then grow h;
   h.keys.(h.size) <- key;
   h.vals.(h.size) <- v;

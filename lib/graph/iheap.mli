@@ -1,8 +1,8 @@
-(** Monomorphic min-heap: float keys, int payloads, flat unboxed
-    columns.  Pop order for any key sequence is bit-identical to
-    {!Heap} (same sift logic); unlike {!Heap} every operation except
-    amortized growth is allocation-free, so it is the priority queue
-    of Dijkstra's zero-alloc relaxation loop. *)
+(** Monomorphic binary min-heap: float keys, int payloads, flat
+    unboxed columns.  Every operation except amortized growth is
+    allocation-free.  Pop order depends only on the sequence of pushed
+    keys and pops, never on the payloads: the same sequence always
+    pops tied keys in the same order.  Keys must not be NaN. *)
 
 type t
 

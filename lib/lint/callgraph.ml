@@ -389,6 +389,11 @@ let mask_of_comp_cases cases =
 let is_arrow ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
 
+(* Parameters in a value's declared type: 2 for [Array.get] at
+   ['a array -> int -> 'a], whatever ['a] is instantiated to. *)
+let rec declared_arity ty =
+  match Types.get_desc ty with Types.Tarrow (_, _, r, _) -> 1 + declared_arity r | _ -> 0
+
 (* ------------------------------------------------------------------ *)
 (* Type shapes (structural, no env expansion: a [type m = float]      *)
 (* abbreviation is seen through links but a nominal record is opaque)  *)
@@ -645,7 +650,7 @@ let process_impl b (u : Loader.unit_) (str : structure) =
     let site = Effects.site_of_loc e.exp_loc in
     let argexprs = List.filter_map snd args in
     match fn.exp_desc with
-    | Texp_ident (p, _, _) ->
+    | Texp_ident (p, _, vd) ->
         ignore (classify_path ctx p);
         let callee = callee_of_path p in
         let name =
@@ -813,7 +818,11 @@ let process_impl b (u : Loader.unit_) (str : structure) =
            match argexprs with
            | m :: _ -> ctx.held <- SS.remove (lock_name ctx m) ctx.held
            | [] -> ());
-        if is_arrow e.exp_type then add_alloc ctx "partial application" site;
+        (* An arrow-typed result is a partial application only if
+           fewer arguments are supplied than the callee declares: a
+           full [Array.get] on an array of closures allocates nothing. *)
+        if is_arrow e.exp_type && List.length args < declared_arity vd.Types.val_type then
+          add_alloc ctx "partial application" site;
         (match name with
         | "raise" | "raise_notrace" | "Printexc.raise_with_backtrace" -> (
             match argexprs with

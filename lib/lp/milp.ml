@@ -36,9 +36,38 @@ let solve ?(limits = default_limits) model =
   let lp_solves = ref 0 in
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
-  (* Frontier: min-heap on LP bound (best-bound search). Each node is
-     the list of branching rows accumulated so far. *)
-  let frontier = Cisp_graph.Heap.create () in
+  (* Frontier: min-heap on LP bound (best-bound search).  The payload
+     indexes a growable node store; each node is the list of branching
+     rows accumulated so far and its relaxation. *)
+  let frontier = Cisp_graph.Iheap.create () in
+  let nodes = ref [||] and n_nodes = ref 0 and free = ref [] in
+  let push_node bound node =
+    let idx =
+      match !free with
+      | idx :: rest ->
+        free := rest;
+        idx
+      | [] ->
+        if !n_nodes = Array.length !nodes then begin
+          let grown = Array.make (max 16 (2 * !n_nodes)) None in
+          Array.blit !nodes 0 grown 0 !n_nodes;
+          nodes := grown
+        end;
+        incr n_nodes;
+        !n_nodes - 1
+    in
+    !nodes.(idx) <- Some node;
+    Cisp_graph.Iheap.push frontier bound idx
+  in
+  (* A popped node's store entry is cleared and reused, so the store
+     holds no more nodes than the frontier. *)
+  let pop_node () =
+    let idx = Cisp_graph.Iheap.pop_min frontier in
+    let node = !nodes.(idx) in
+    !nodes.(idx) <- None;
+    free := idx :: !free;
+    node
+  in
   let solve_node extra =
     incr lp_solves;
     Simplex.solve (Model.to_lp model ~extra)
@@ -59,7 +88,7 @@ let solve ?(limits = default_limits) model =
           ()
         | Simplex.Optimal sol ->
           if sol.objective < !incumbent_obj -. 1e-12 then
-            Cisp_graph.Heap.push frontier sol.objective (branch, sol))
+            push_node sol.objective (branch, sol))
       [ left; right ]
   in
   let time_left () = Sys.time () -. start < limits.max_seconds in
@@ -97,18 +126,19 @@ let solve ?(limits = default_limits) model =
       end
     in
     dive2 [] root 0;
-    Cisp_graph.Heap.push frontier root.objective ([], root);
+    push_node root.objective ([], root);
     let best_bound = ref root.objective in
     let rec loop () =
       if
-        Cisp_graph.Heap.is_empty frontier
+        Cisp_graph.Iheap.length frontier = 0
         || !nodes_explored >= limits.max_nodes
         || not (time_left ())
       then ()
       else begin
-        match Cisp_graph.Heap.pop frontier with
+        let bound = Cisp_graph.Iheap.min_key frontier in
+        match pop_node () with
         | None -> ()
-        | Some (bound, (extra, sol)) ->
+        | Some (extra, sol) ->
           best_bound := bound;
           if bound >= !incumbent_obj -. 1e-12 then
             (* Everything left is dominated: best-bound order means we
@@ -137,7 +167,7 @@ let solve ?(limits = default_limits) model =
     loop ();
     (match !incumbent with
     | Some x ->
-      let exhausted = Cisp_graph.Heap.is_empty frontier in
+      let exhausted = Cisp_graph.Iheap.length frontier = 0 in
       let gap =
         Float.abs (!incumbent_obj -. !best_bound)
         /. Float.max 1e-9 (Float.abs !incumbent_obj)

@@ -14,18 +14,24 @@ type packet = {
 type t
 
 val create : Engine.t -> n_nodes:int -> t
+(** Raises [Invalid_argument] unless [0 <= n_nodes <= 46340]. *)
 
 val engine : t -> Engine.t
 
 val add_link :
   t -> src:int -> dst:int -> gbps:float -> delay_ms:float -> buffer_bytes:int -> unit
-(** Directed link.  At most one link per (src, dst). *)
+(** Directed link.  At most one link per (src, dst).  Raises
+    [Invalid_argument "Net.add_link: ..."] for bad or duplicate
+    endpoints, a [gbps] that is not positive and finite, a [delay_ms]
+    that is negative or not finite, or a negative [buffer_bytes]. *)
 
 val add_duplex :
   t -> int -> int -> gbps:float -> delay_ms:float -> buffer_bytes:int -> unit
 
 val inject : t -> packet -> unit
-(** Start forwarding at [route.(hop)]; [injected_at] is stamped. *)
+(** Start forwarding at [route.(hop)]; [injected_at] is stamped.
+    Raises [Invalid_argument] for an empty route or a [size_bytes]
+    outside [[0, 2^31)]. *)
 
 val on_delivery : t -> (packet -> float -> unit) -> unit
 (** Callback invoked when a packet reaches the end of its route, with

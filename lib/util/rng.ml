@@ -45,12 +45,14 @@ let gaussian t =
   let u1 = u () and u2 = float t 1.0 in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let exponential t rate =
-  let rec u () =
-    let x = float t 1.0 in
-    if x <= 0.0 then u () else x
-  in
-  -.log (u ()) /. rate
+(* A uniform draw in (0, 1).  Top-level rather than a local closure:
+   the packet simulator's Poisson sources call [exponential] once per
+   packet. *)
+let rec positive_unit t =
+  let x = float t 1.0 in
+  if x <= 0.0 then positive_unit t else x
+
+let exponential t rate = -.log (positive_unit t) /. rate
 
 let poisson t mean =
   if mean < 0.0 then invalid_arg "Rng.poisson: mean < 0";

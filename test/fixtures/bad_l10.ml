@@ -15,3 +15,7 @@ let registry_entry x = [ x; x + 1 ]
 (* [@cisp.alloc_ok] stops allocation evidence at a justified cold path *)
 let[@cisp.alloc_ok "cold: error formatting"] cold x = string_of_int x
 let[@cisp.zero_alloc] damped x = String.length (cold x)
+
+(* a full application whose result is a closure allocates nothing:
+   reading a handler out of an array is no partial application *)
+let[@cisp.zero_alloc] call_slot (fs : (int -> unit) array) i = fs.(i) i

@@ -44,5 +44,10 @@ let suites =
         Alcotest.test_case "design --range=inf" `Quick (rejects [ "design"; "--range=inf" ]);
         Alcotest.test_case "design --budget 0 --range 0 runs" `Quick
           (accepts [ "design"; "--sites"; "2"; "--budget"; "0"; "--range"; "0" ]);
+        Alcotest.test_case "weather --sites 1" `Quick (rejects [ "weather"; "--sites"; "1" ]);
+        Alcotest.test_case "scenarios --sites 1" `Quick (rejects [ "scenarios"; "--sites"; "1" ]);
+        Alcotest.test_case "econ --cost-per-gb=-1" `Quick (rejects [ "econ"; "--cost-per-gb=-1" ]);
+        Alcotest.test_case "econ --cost-per-gb=nan" `Quick (rejects [ "econ"; "--cost-per-gb=nan" ]);
+        Alcotest.test_case "econ --cost-per-gb 0 runs" `Quick (accepts [ "econ"; "--cost-per-gb"; "0" ]);
       ] );
   ]

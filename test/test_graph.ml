@@ -2,46 +2,82 @@ open Cisp_graph
 
 let check_float eps = Alcotest.(check (float eps))
 
-(* ---------- Heap ---------- *)
+(* ---------- Iheap ---------- *)
+
+let drain_keys h =
+  let rec go acc =
+    if Iheap.length h = 0 then List.rev acc
+    else begin
+      let k = Iheap.min_key h in
+      ignore (Iheap.pop_min h);
+      go (k :: acc)
+    end
+  in
+  go []
 
 let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.push h k (int_of_float k)) [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (k, _) ->
-      out := k :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list (float 0.0))) "sorted" [ 5.0; 4.0; 3.0; 2.0; 1.0 ] !out
+  let h = Iheap.create () in
+  List.iter (fun k -> Iheap.push h k (int_of_float k)) [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
+  Alcotest.(check (list (float 0.0))) "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (drain_keys h)
 
+(* [min_key] is the peek: it reads the smallest key without popping.
+   Draining with [pop_min] empties the heap. *)
 let test_heap_peek_clear () =
-  let h = Heap.create ~capacity:1 () in
-  Heap.push h 2.0 "b";
-  Heap.push h 1.0 "a";
-  (match Heap.peek h with
-  | Some (k, v) ->
-    check_float 0.0 "peek key" 1.0 k;
-    Alcotest.(check string) "peek value" "a" v
-  | None -> Alcotest.fail "expected peek");
-  Alcotest.(check int) "length" 2 (Heap.length h);
-  Heap.clear h;
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
+  let h = Iheap.create () in
+  Iheap.push h 2.0 20;
+  Iheap.push h 1.0 10;
+  check_float 0.0 "peek key" 1.0 (Iheap.min_key h);
+  Alcotest.(check int) "length after peek" 2 (Iheap.length h);
+  Alcotest.(check int) "min payload" 10 (Iheap.pop_min h);
+  Alcotest.(check int) "next payload" 20 (Iheap.pop_min h);
+  Alcotest.(check int) "empty" 0 (Iheap.length h);
+  Alcotest.check_raises "min_key on empty" (Invalid_argument "Iheap.min_key: empty heap")
+    (fun () -> ignore (Iheap.min_key h));
+  Alcotest.check_raises "pop_min on empty" (Invalid_argument "Iheap.pop_min: empty heap")
+    (fun () -> ignore (Iheap.pop_min h))
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list (float_range 0.0 1000.0))
     (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h k ()) keys;
-      let rec drain acc =
-        match Heap.pop h with Some (k, ()) -> drain (k :: acc) | None -> List.rev acc
+      let h = Iheap.create () in
+      List.iter (fun k -> Iheap.push h k 0) keys;
+      drain_keys h = List.sort Float.compare keys)
+
+(* [Iheap] against the sift code of the heap it replaced
+   ({!Ref_heap}): interleaved pushes (Some key) and pops (None), keys
+   drawn from four values so most pops break a tie.  Payloads number the pushes, so a
+   differing tie order shows as a differing payload. *)
+let prop_iheap_matches_reference =
+  QCheck.Test.make ~name:"iheap pops ties like the reference heap" ~count:500
+    QCheck.(list (option (map float_of_int (int_range 0 3))))
+    (fun ops ->
+      let a = Iheap.create () and b = Ref_heap.create () in
+      let pushed = ref 0 in
+      let same = ref true in
+      let pop_both () =
+        match Ref_heap.pop b with
+        | None -> if Iheap.length a <> 0 then same := false
+        | Some (k, v) ->
+          if Iheap.length a = 0 then same := false
+          else begin
+            let k' = Iheap.min_key a in
+            let v' = Iheap.pop_min a in
+            if not (Float.equal k k' && v = v') then same := false
+          end
       in
-      let out = drain [] in
-      out = List.sort Float.compare keys)
+      List.iter
+        (function
+          | Some k ->
+            Iheap.push a k !pushed;
+            Ref_heap.push b k !pushed;
+            incr pushed
+          | None -> pop_both ())
+        ops;
+      while !same && (Iheap.length a > 0 || Ref_heap.length b > 0) do
+        pop_both ()
+      done;
+      !same)
 
 (* ---------- Graph / Dijkstra ---------- *)
 
@@ -204,6 +240,7 @@ let suites =
         Alcotest.test_case "pop order" `Quick test_heap_order;
         Alcotest.test_case "peek and clear" `Quick test_heap_peek_clear;
         QCheck_alcotest.to_alcotest prop_heap_sorts;
+        QCheck_alcotest.to_alcotest prop_iheap_matches_reference;
       ] );
     ( "graph.dijkstra",
       [

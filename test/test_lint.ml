@@ -296,8 +296,9 @@ let test_l10_positive () =
 
 let test_l10_negative () =
   (* [clean] holds its contract, [damped]'s callee is [@cisp.alloc_ok],
-     and [registry_entry] is unflagged without the registry: only the
-     two kinds at [pair]'s line remain *)
+     [call_slot]'s full [Array.get] of a closure is no partial
+     application, and [registry_entry] is unflagged without the
+     registry: only the two kinds at [pair]'s line remain *)
   Alcotest.(check int) "two L10 hits in bad_l10.ml" 2
     (count ~rule:Diag.L10 ~file:"bad_l10.ml");
   Alcotest.(check int) "two L10 hits at the helper origin" 2

@@ -16,6 +16,7 @@ let () =
          Test_traffic.suites;
          Test_design.suites;
          Test_sim.suites;
+         Test_sim_replay.suites;
          Test_weather.suites;
          Test_replay.suites;
          Test_apps.suites;

@@ -156,6 +156,60 @@ let test_net_flush_telemetry () =
       Alcotest.(check int) "flow deliveries flushed" 1
         (Cisp_util.Telemetry.counter "sim.flow_delivered"))
 
+(* ---------- Entry-point validation ---------- *)
+
+(* A link parameter that is zero, negative or not finite is rejected
+   where it is given, not deep inside the event loop. *)
+let rejects_link ~gbps ~delay_ms ~buffer_bytes () =
+  let net = Net.create (Engine.create ()) ~n_nodes:2 in
+  match Net.add_link net ~src:0 ~dst:1 ~gbps ~delay_ms ~buffer_bytes with
+  | () -> Alcotest.fail "bad link accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) (msg ^ " names Net.add_link") true
+      (String.length msg > 14 && String.sub msg 0 14 = "Net.add_link: ")
+
+let test_schedule_nan () =
+  let eng = Engine.create () in
+  Alcotest.check_raises "closure event" (Invalid_argument "Engine.schedule: at is NaN")
+    (fun () -> Engine.schedule eng ~at:Float.nan ignore);
+  let h = Engine.register eng ignore in
+  Alcotest.check_raises "handler event" (Invalid_argument "Engine.schedule_handler: at is NaN")
+    (fun () -> Engine.schedule_handler eng ~at:Float.nan h 0);
+  Engine.run eng ~until:1.0;
+  Alcotest.(check int) "nothing was queued" 0 (Engine.events_processed eng)
+
+let test_schedule_past () =
+  let eng = Engine.create () in
+  Engine.run eng ~until:1.0;
+  let h = Engine.register eng ignore in
+  match Engine.schedule_handler eng ~at:0.5 h 0 with
+  | () -> Alcotest.fail "event in the past accepted"
+  | exception Invalid_argument _ -> ()
+
+(* The tx-done event packs link index and byte count into one int:
+   out-of-range node counts and packet sizes are refused up front. *)
+let test_packing_bounds () =
+  (match Net.create (Engine.create ()) ~n_nodes:46_341 with
+  | _ -> Alcotest.fail "n_nodes beyond the link-index range accepted"
+  | exception Invalid_argument _ -> ());
+  let net = Net.create (Engine.create ()) ~n_nodes:2 in
+  Net.add_duplex net 0 1 ~gbps:1.0 ~delay_ms:1.0 ~buffer_bytes:1_000_000;
+  Alcotest.check_raises "negative size" (Invalid_argument "Net.inject: size_bytes = -1 out of range")
+    (fun () -> Net.inject net (mk_pkt ~size:(-1) [| 0; 1 |]));
+  Alcotest.(check int) "nothing sent" 0 (Net.flow_stats net 1).Net.sent
+
+let validation_cases =
+  [
+    ("gbps 0", 0.0, 1.0, 1000);
+    ("gbps -1", -1.0, 1.0, 1000);
+    ("gbps inf", Float.infinity, 1.0, 1000);
+    ("gbps nan", Float.nan, 1.0, 1000);
+    ("delay_ms -1", 1.0, -1.0, 1000);
+    ("delay_ms inf", 1.0, Float.infinity, 1000);
+    ("delay_ms nan", 1.0, Float.nan, 1000);
+    ("buffer_bytes -1", 1.0, 1.0, -1);
+  ]
+
 (* ---------- Udp ---------- *)
 
 let test_udp_rate () =
@@ -385,6 +439,17 @@ let suites =
         Alcotest.test_case "utilization guards" `Quick test_net_utilization_guards;
         Alcotest.test_case "telemetry flush" `Quick test_net_flush_telemetry;
       ] );
+    ( "sim.validation",
+      List.map
+        (fun (name, gbps, delay_ms, buffer_bytes) ->
+          Alcotest.test_case ("add_link " ^ name) `Quick
+            (rejects_link ~gbps ~delay_ms ~buffer_bytes))
+        validation_cases
+      @ [
+          Alcotest.test_case "schedule NaN" `Quick test_schedule_nan;
+          Alcotest.test_case "schedule in the past" `Quick test_schedule_past;
+          Alcotest.test_case "packing bounds" `Quick test_packing_bounds;
+        ] );
     ("sim.udp", [ Alcotest.test_case "poisson rate" `Quick test_udp_rate ]);
     ( "sim.tcp",
       [
