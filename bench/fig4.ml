@@ -55,14 +55,25 @@ let run_b ctx =
       inputs.Inputs.sites.(i).Cisp_data.City.name
       inputs.Inputs.sites.(j).Cisp_data.City.name geo fiber_stretch;
     let rounds = if ctx.Ctx.quick then 8 else 20 in
-    (* Each round deletes the towers the path used; sites stay. *)
-    let remove work (_, path) =
-      let used = Hashtbl.create 64 in
-      List.iter (fun v -> if Hops.is_tower_node hops v then Hashtbl.replace used v ()) path;
-      Cisp_graph.Graph.remove_edges work (fun u e ->
-          not (Hashtbl.mem used u || Hashtbl.mem used e.Cisp_graph.Graph.dst))
+    (* Each round consumes the towers its path used; sites stay.  One
+       byte per node marks a consumed tower, and an edge into one is
+       skipped, so a consumed tower is never reached and its out-edges
+       never relax.  The source is a site, so every round relaxes the
+       same edges in the same order as on a copy of the graph with the
+       consumed towers deleted. *)
+    let g = hops.Hops.graph in
+    let used = Bytes.make (Cisp_graph.Graph.node_count g) '\000' in
+    let keep (e : Cisp_graph.Graph.edge) = Bytes.get used e.Cisp_graph.Graph.dst = '\000' in
+    let rec successive remaining acc =
+      if remaining = 0 then List.rev acc
+      else
+        match Cisp_graph.Dijkstra.shortest_path_filtered g ~keep ~src:i ~dst:j with
+        | None -> List.rev acc
+        | Some ((_, path) as found) ->
+          List.iter (fun v -> if Hops.is_tower_node hops v then Bytes.set used v '\001') path;
+          successive (remaining - 1) (found :: acc)
     in
-    let paths = Cisp_graph.Multipath.successive hops.Hops.graph ~src:i ~dst:j ~k:rounds ~remove in
+    let paths = successive rounds [] in
     Printf.printf "%-8s %-12s %-10s\n" "round" "length km" "stretch";
     List.iteri
       (fun k (d, _) -> Printf.printf "%-8d %-12.0f %-10.3f\n" (k + 1) d (d /. geo))

@@ -17,8 +17,8 @@ let rec relax heap dist prev d u = function
     relax heap dist prev d u rest
 
 (* [relax] over only the edges [keep] accepts.  Skipping an edge here
-   relaxes exactly what a copy of the graph with that edge removed
-   would: the survivors keep their adjacency order. *)
+   relaxes exactly what the graph would had that edge never been
+   added: the survivors keep their adjacency order. *)
 let rec relax_kept keep heap dist prev d u = function
   | [] -> ()
   | (e : Graph.edge) :: rest ->

@@ -23,9 +23,9 @@ val shortest_path : Graph.t -> src:int -> dst:int -> (float * int list) option
 val shortest_path_filtered :
   Graph.t -> keep:(Graph.edge -> bool) -> src:int -> dst:int -> (float * int list) option
 (** {!shortest_path} over only the edges [keep] accepts: the same
-    result, bit for bit, as {!shortest_path} on a copy of the graph
-    with every other edge removed by {!Graph.remove_edges}, without
-    the copy. *)
+    result, bit for bit, as {!shortest_path} on the graph as if the
+    rejected edges had never been added.  The kept edges relax in
+    their adjacency order, so ties break as they would there. *)
 
 val all_pairs_results : Graph.t -> sources:int array -> result array
 (** Dijkstra from each listed source, in parallel on the domain pool;

@@ -83,7 +83,7 @@ let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
   | Shortest_path | K_disjoint_split _ | K_disjoint_failover _ ->
     (* Static latency costs: one Dijkstra per source with demand.  The
        multipath schemes route their primary (= shortest) path here;
-       the full precomputed path sets live in {!multipath_table}.  The
+       the full precomputed path sets live in {!disjoint_tables}.  The
        rows run sequentially: the site graph is tiny, and the scenario
        suite replays this inside its pool bodies, which must not
        submit to the pool or record a span (L14). *)
@@ -286,7 +286,7 @@ let disjoint_routes ~k ~src ~dst g n ~mw ~fib ~consumed =
    one, in (s, t) order.  Independent of the split rule, so every
    multipath scheme with this [k] shares one computation. *)
 let disjoint_sets m ~k ~demands_gbps =
-  if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
+  if k <= 0 then invalid_arg "Routing.disjoint_tables: k <= 0";
   let n = Inputs.n_sites m.inputs in
   let mw, fib = medium_tables m in
   let g = multigraph n ~mw ~fib in
@@ -318,21 +318,6 @@ let table_of_sets scheme sets =
       Hashtbl.replace table key { routes; split })
     sets;
   table
-
-let multipath_table m scheme ~demands_gbps =
-  match scheme with
-  | K_disjoint_split k | K_disjoint_failover k ->
-    table_of_sets scheme (disjoint_sets m ~k ~demands_gbps)
-  | Shortest_path | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
-    let n = Inputs.n_sites m.inputs in
-    let mw, fib = medium_tables m in
-    let table : (int * int, multipath) Hashtbl.t = Hashtbl.create 1024 in
-    Cisp_util.Tbl.iter_sorted
-      (fun key nodes ->
-        let mp = mp_of_nodes ~mw ~fib ~consumed:(fun _ -> false) n nodes in
-        Hashtbl.replace table key { routes = [| mp |]; split = [| 1.0 |] })
-      (paths m scheme ~demands_gbps);
-    table
 
 let disjoint_tables m schemes ~demands_gbps =
   let sets_by_k = ref [] in
@@ -382,15 +367,3 @@ let route_latency_km m ~mw_ok nodes =
     acc := !acc +. (if via_mw then mk else fk)
   done;
   !acc
-
-let multipath_mean_latency_ms table ~demands_gbps =
-  let num = ref 0.0 and den = ref 0.0 in
-  Cisp_util.Tbl.iter_sorted
-    (fun (s, t) mp ->
-      let d = demands_gbps.(s).(t) in
-      let lat = ref 0.0 in
-      Array.iteri (fun i p -> lat := !lat +. (mp.split.(i) *. p.latency_km)) mp.routes;
-      num := !num +. (d *. Cisp_util.Units.ms_of_km_at_c !lat);
-      den := !den +. d)
-    table;
-  if Float.equal !den 0.0 then 0.0 else !num /. !den

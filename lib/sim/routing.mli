@@ -51,7 +51,7 @@ val paths :
 (** Source route for every commodity with positive demand (key (s,t)
     with s <> t, both directions present).  [K_disjoint_split] and
     [K_disjoint_failover] yield their primary (= shortest) route here;
-    use {!multipath_table} for the full path sets.
+    use {!disjoint_tables} for the full path sets.
 
     [mw_ok i j] (default: all alive) filters built MW links: a failed
     link's edge is dropped and its direct fiber edge (when the fiber
@@ -65,7 +65,7 @@ val mean_route_latency_ms :
     used to show the alternatives' latency penalty without running
     packets. *)
 
-(** {2 Multipath and fast local failover} *)
+(** {2 Disjoint routes and fast local failover} *)
 
 type medium = Mw | Fiber
 
@@ -80,27 +80,23 @@ type multipath = {
   split : float array;         (** load fractions, same length, sum 1 *)
 }
 
-val multipath_table :
-  network_model -> scheme -> demands_gbps:Cisp_traffic.Matrix.t ->
-  ((int * int), multipath) Hashtbl.t
-(** Per-commodity route sets, precomputed under fair weather.  For
-    [K_disjoint_split k] / [K_disjoint_failover k]: up to [k]
-    medium-aware edge-disjoint paths (successive shortest-path removal
-    over the combined MW+fiber multigraph, so a backup may take the
-    fiber pair under a consumed MW edge); raises [Invalid_argument] if
-    [k <= 0].  Any other scheme wraps its single {!paths} route.  The
-    split weights are 1/latency-normalized for [K_disjoint_split], all
-    mass on the primary otherwise. *)
-
 val disjoint_tables :
   network_model -> scheme list -> demands_gbps:Cisp_traffic.Matrix.t ->
   ((int * int), multipath) Hashtbl.t option list
-(** One entry per scheme, in order: [Some (multipath_table m scheme
-    ~demands_gbps)] for [K_disjoint_split] and [K_disjoint_failover],
-    [None] for the single-path schemes.  The route sets depend only on
-    [k], so they are computed once per distinct [k] and shared; only
-    the split weights differ between the two schemes.  Raises
-    [Invalid_argument] as {!multipath_table} does. *)
+(** Per-commodity route sets, precomputed under fair weather: one
+    entry per scheme, in order.  For [K_disjoint_split k] and
+    [K_disjoint_failover k] the entry is [Some table] holding, for
+    every commodity with positive demand that has a route, up to [k]
+    medium-aware edge-disjoint paths: successive shortest paths over
+    the combined MW+fiber multigraph, each round consuming the
+    (pair, medium) edges it used, so a backup may take the fiber pair
+    under a consumed MW edge.  Routes are in priority order (index 0
+    is the shortest path) with nondecreasing [latency_km].  The split
+    weights are 1/latency-normalized for [K_disjoint_split], all mass
+    on the primary for [K_disjoint_failover].  The single-path schemes
+    get [None].  The route sets depend only on [k], so they are
+    computed once per distinct [k] and shared.  Raises
+    [Invalid_argument] if a multipath scheme has [k <= 0]. *)
 
 val select_routes :
   multipath -> mw_ok:(int -> int -> bool) -> (mp_path * float) array
@@ -116,9 +112,3 @@ val route_latency_km :
 (** Latency-equivalent length of a node route where each hop uses its
     surviving fastest medium: the built MW link when alive and faster,
     else the direct fiber edge. *)
-
-val multipath_mean_latency_ms :
-  ((int * int), multipath) Hashtbl.t ->
-  demands_gbps:Cisp_traffic.Matrix.t -> float
-(** Demand-weighted mean of the split-weighted route latencies — the
-    multipath analogue of {!mean_route_latency_ms}. *)

@@ -24,7 +24,7 @@ type event = {
   ts_us : float;
   dur_us : float;
   tid : int;
-  value : int;
+  value : float;
 }
 
 type state = {
@@ -197,7 +197,7 @@ let record_span name ~tid ~t0 ~t1 =
             ts_us = (t0 -. state.epoch) *. 1e6;
             dur_us = (t1 -. t0) *. 1e6;
             tid;
-            value = 0;
+            value = 0.0;
           }
           :: state.events)
 
@@ -277,30 +277,40 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* A finite float as a JSON number: integral values print without a
+   fraction (counter values read as integers), others round-trip
+   through [%.17g]. *)
+let json_number x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
 let event_line e =
   match e.ph with
   | 'C' ->
     Printf.sprintf
-      {|{"name":"%s","ph":"C","ts":%.1f,"pid":1,"tid":%d,"args":{"value":%d}}|}
-      (json_escape e.name) e.ts_us e.tid e.value
+      {|{"name":"%s","ph":"C","ts":%.1f,"pid":1,"tid":%d,"args":{"value":%s}}|}
+      (json_escape e.name) e.ts_us e.tid (json_number e.value)
   | _ ->
     Printf.sprintf
       {|{"name":"%s","ph":"X","ts":%.1f,"dur":%.1f,"pid":1,"tid":%d}|}
       (json_escape e.name) e.ts_us e.dur_us e.tid
 
 (* Final counter values and distribution summaries become 'C' events
-   stamped at write-out time, so the trace alone carries the totals. *)
+   stamped at write-out time, so the trace alone carries the totals:
+   one event per counter, and a [.count] and a [.max] event per
+   distribution.  [samples] sorts (NaN first), so the max is the last
+   sample; a non-finite max has no JSON number and is left out. *)
 let closing_events now_us =
-  let counter_names = counter_names () in
-  let series_names = series_names () in
-  List.map
-    (fun name -> { name; ph = 'C'; ts_us = now_us; dur_us = 0.0; tid = 0; value = counter name })
-    counter_names
-  @ List.map
+  let event name value = { name; ph = 'C'; ts_us = now_us; dur_us = 0.0; tid = 0; value } in
+  List.map (fun name -> event name (float_of_int (counter name))) (counter_names ())
+  @ List.concat_map
       (fun name ->
-        { name = name ^ ".count"; ph = 'C'; ts_us = now_us; dur_us = 0.0; tid = 0;
-          value = Array.length (samples name) })
-      series_names
+        let xs = samples name in
+        let n = Array.length xs in
+        let count = event (name ^ ".count") (float_of_int n) in
+        if n > 0 && Float.is_finite xs.(n - 1) then [ count; event (name ^ ".max") xs.(n - 1) ]
+        else [ count ])
+      (series_names ())
 
 let write_trace () =
   match locked (fun () -> state.trace_file) with

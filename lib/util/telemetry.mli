@@ -84,7 +84,9 @@ val write_trace : unit -> unit
 (** Write the JSONL trace now (no-op unless {!enable_trace} was
     called).  One event per line; span events carry
     [ph:"X"]/[ts]/[dur] in microseconds since enablement, counters are
-    appended as [ph:"C"] samples holding their final values. *)
+    appended as [ph:"C"] samples holding their final values, and each
+    distribution as two: [<name>.count] (samples observed) and
+    [<name>.max] (largest sample, left out when it is not finite). *)
 
 val finish : ?ppf:Format.formatter -> unit -> unit
 (** End-of-run hook for binaries: writes the trace and, if metrics are

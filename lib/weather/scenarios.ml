@@ -108,11 +108,21 @@ let interval_failures ~seed ~params ~hops (inputs : Inputs.t) ~links spec iv fai
           | Replay.Site_midpoint mid -> hit mid))
       links
 
+let bad field value = invalid_arg (Printf.sprintf "Scenarios.run: %s = %s" field value)
+
+let finite field x =
+  if not (Float.is_finite x) then bad field (Printf.sprintf "%g (must be finite)" x)
+
+let validate_params (p : Failure.params) =
+  if not (Float.is_finite p.f_ghz && p.f_ghz > 0.0) then
+    bad "f_ghz" (Printf.sprintf "%g (must be finite and > 0)" p.f_ghz);
+  finite "margin_floor_db" p.margin_floor_db;
+  finite "margin_cap_db" p.margin_cap_db;
+  if p.margin_floor_db > p.margin_cap_db then
+    bad "margin_floor_db"
+      (Printf.sprintf "%g (must be <= margin_cap_db = %g)" p.margin_floor_db p.margin_cap_db)
+
 let validate_spec spec =
-  let bad field value = invalid_arg (Printf.sprintf "Scenarios.run: %s = %s" field value) in
-  let finite field x =
-    if not (Float.is_finite x) then bad field (Printf.sprintf "%g (must be finite)" x)
-  in
   let finite_nonneg field x =
     if not (Float.is_finite x && x >= 0.0) then
       bad field (Printf.sprintf "%g (must be finite and >= 0)" x)
@@ -132,6 +142,7 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
   let intervals = spec_intervals spec in
   if intervals <= 0 then invalid_arg "Scenarios.run: intervals <= 0";
   validate_spec spec;
+  validate_params params;
   (match schemes with [] -> invalid_arg "Scenarios.run: no schemes" | _ :: _ -> ());
   Cisp_util.Telemetry.with_span "scenarios.run" (fun () ->
       let inputs = model.Routing.inputs in

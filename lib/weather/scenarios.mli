@@ -94,7 +94,10 @@ val run :
     interval count, an empty scheme list, or a spec field out of range
     (naming the field and its value): a negative or non-finite
     [mm_h] or [radius_km], a non-finite [step_km] or
-    [track_bearing_deg], or [blobs < 1]. *)
+    [track_bearing_deg], or [blobs < 1]; and on bad [params] (again
+    naming the field and its value): an [f_ghz] that is not finite
+    and > 0, a non-finite [margin_floor_db] or [margin_cap_db], or
+    [margin_floor_db > margin_cap_db]. *)
 
 val frontier_csv : result list -> string
 (** The stretch/availability frontier as CSV

@@ -121,11 +121,18 @@ let test_all_pairs () =
   check_float 1e-9 "2->0" 2.0 d.(2).(0);
   check_float 1e-9 "diag" 0.0 d.(1).(1)
 
+(* Rejecting the edges into node 1 reroutes over the long edge, on the
+   filtered search and on a pruned copy alike. *)
 let test_graph_remove_edges () =
   let g = diamond () in
-  Graph.remove_edges g (fun u e -> not ((u = 0 && e.Graph.dst = 1) || (u = 1 && e.Graph.dst = 0)));
-  let r = Dijkstra.run g ~src:0 in
-  check_float 1e-9 "reroutes over long edge" 10.0 r.dist.(2)
+  let keep (e : Graph.edge) = e.Graph.dst <> 1 in
+  (match Dijkstra.shortest_path_filtered g ~keep ~src:0 ~dst:2 with
+  | Some (d, path) ->
+    check_float 1e-9 "reroutes over long edge" 10.0 d;
+    Alcotest.(check (list int)) "direct path" [ 0; 2 ] path
+  | None -> Alcotest.fail "expected path");
+  let r = Dijkstra.run (Prune.prune g keep) ~src:0 in
+  check_float 1e-9 "pruned copy agrees" 10.0 r.dist.(2)
 
 let test_graph_tags () =
   let g = Graph.create 2 in
@@ -161,59 +168,79 @@ let prop_dijkstra_lower_bound =
       in
       walk 0 0.0 8)
 
-(* ---------- K-shortest ---------- *)
+(* [shortest_path_filtered] against [shortest_path] on a pruned copy,
+   bit for bit, to every destination.  Directed edges with integer
+   weights in [1, 4] make ties common, so equal paths also pin the tie
+   order.  [keep] rejects by tag (the disjoint route tables' policy) or
+   by destination node (Fig 4b's consumed towers). *)
+let prop_filtered_equals_pruned =
+  QCheck.Test.make ~name:"filtered search equals dijkstra on a pruned copy" ~count:300
+    QCheck.(pair small_int bool)
+    (fun (seed, by_node) ->
+      let rng = Cisp_util.Rng.create seed in
+      let n = 10 and tags = 8 in
+      let g = Graph.create n in
+      for _ = 1 to 36 do
+        let u = Cisp_util.Rng.int rng n and v = Cisp_util.Rng.int rng n in
+        if u <> v then
+          Graph.add_edge ~tag:(Cisp_util.Rng.int rng tags) g u v
+            (float_of_int (1 + Cisp_util.Rng.int rng 4))
+      done;
+      let rejected = Array.init (if by_node then n else tags) (fun _ -> Cisp_util.Rng.int rng 4 = 0) in
+      let keep (e : Graph.edge) = not rejected.(if by_node then e.Graph.dst else e.Graph.tag) in
+      let pruned = Prune.prune g keep in
+      let src = seed mod n in
+      let bits = Option.map (fun (d, path) -> (Int64.bits_of_float d, path)) in
+      List.for_all
+        (fun dst ->
+          bits (Dijkstra.shortest_path_filtered g ~keep ~src ~dst)
+          = bits (Dijkstra.shortest_path pruned ~src ~dst))
+        (List.init n Fun.id))
 
-let test_yen_basic () =
-  let g = diamond () in
-  let paths = Kshortest.yen g ~src:0 ~dst:2 ~k:3 in
-  Alcotest.(check int) "two distinct paths" 2 (List.length paths);
-  (match paths with
-  | (d1, p1) :: (d2, p2) :: _ ->
-    check_float 1e-9 "first" 2.0 d1;
-    Alcotest.(check (list int)) "first path" [ 0; 1; 2 ] p1;
-    check_float 1e-9 "second" 10.0 d2;
-    Alcotest.(check (list int)) "second path" [ 0; 2 ] p2
-  | _ -> Alcotest.fail "expected 2 paths");
-  ()
+(* ---------- successive disjoint paths on the filtered search ---------- *)
 
-let test_yen_sorted_distinct () =
-  let g = Graph.create 5 in
-  Graph.add_undirected g 0 1 1.0;
-  Graph.add_undirected g 1 4 1.0;
-  Graph.add_undirected g 0 2 1.5;
-  Graph.add_undirected g 2 4 1.5;
-  Graph.add_undirected g 0 3 2.0;
-  Graph.add_undirected g 3 4 2.5;
-  let paths = Kshortest.yen g ~src:0 ~dst:4 ~k:5 in
-  let ds = List.map fst paths in
-  Alcotest.(check bool) "sorted" true (List.sort Float.compare ds = ds);
-  let ps = List.map snd paths in
-  Alcotest.(check int) "distinct" (List.length ps)
-    (List.length (List.sort_uniq compare ps))
+(* The successive-paths loop both library callers run (Fig 4b and the
+   disjoint route tables): each round reports the shortest path over
+   the edges [keep] accepts, then [consume]s it, after which [keep]
+   may reject more. *)
+let successive g ~src ~dst ~k ~consume ~keep =
+  let rec loop remaining acc =
+    if remaining = 0 then List.rev acc
+    else
+      match Dijkstra.shortest_path_filtered g ~keep ~src ~dst with
+      | None -> List.rev acc
+      | Some found ->
+        consume found;
+        loop (remaining - 1) (found :: acc)
+  in
+  loop k []
 
-(* ---------- successive node-disjoint paths (Fig 4b) ---------- *)
-
-(* The paper's Fig 4b greedy on top of [Multipath.successive]: each
-   round kills every unprotected interior node of the path it found. *)
-let kill_interior ~protected ~src ~dst work (_, path) =
-  let dead v = v <> src && v <> dst && (not (protected v)) && List.mem v path in
-  Graph.remove_edges work (fun u e -> not (dead u || dead e.Graph.dst))
-
+(* The paper's Fig 4b greedy: each round consumes every unprotected
+   interior node of its path, and no later round may enter one. *)
 let node_disjoint ?(protected = fun _ -> false) g ~src ~dst ~k =
-  Multipath.successive g ~src ~dst ~k ~remove:(kill_interior ~protected ~src ~dst)
+  let used = Bytes.make (Graph.node_count g) '\000' in
+  let consume (_, path) =
+    List.iter
+      (fun v -> if v <> src && v <> dst && not (protected v) then Bytes.set used v '\001')
+      path
+  in
+  successive g ~src ~dst ~k ~consume ~keep:(fun e -> Bytes.get used e.Graph.dst = '\000')
 
-let test_disjoint_successive () =
-  (* Two parallel 2-hop routes plus one direct expensive edge. *)
+(* Two parallel 2-hop routes, plus (when [direct]) one expensive
+   direct edge. *)
+let two_routes ~direct =
   let g = Graph.create 6 in
   Graph.add_undirected g 0 1 1.0;
   Graph.add_undirected g 1 5 1.0;
   Graph.add_undirected g 0 2 2.0;
   Graph.add_undirected g 2 5 2.0;
-  let two_routes = Graph.copy g in
-  Graph.add_undirected g 0 5 10.0;
-  let ds = List.map fst (node_disjoint g ~src:0 ~dst:5 ~k:3) in
+  if direct then Graph.add_undirected g 0 5 10.0;
+  g
+
+let test_disjoint_successive () =
+  let ds = List.map fst (node_disjoint (two_routes ~direct:true) ~src:0 ~dst:5 ~k:3) in
   Alcotest.(check (list (float 1e-9))) "lengths grow" [ 2.0; 4.0; 10.0 ] ds;
-  let ds = List.map fst (node_disjoint two_routes ~src:0 ~dst:5 ~k:5) in
+  let ds = List.map fst (node_disjoint (two_routes ~direct:false) ~src:0 ~dst:5 ~k:5) in
   Alcotest.(check (list (float 1e-9))) "stops when unreachable" [ 2.0; 4.0 ] ds
 
 let test_disjoint_protected () =
@@ -227,11 +254,15 @@ let test_disjoint_protected () =
   Alcotest.(check int) "all rounds available" 3 (List.length rounds);
   List.iter (fun (d, _) -> check_float 1e-9 "always cheap" 2.0 d) rounds
 
+let adjacency g =
+  List.init (Graph.node_count g) (fun u ->
+      List.map (fun (e : Graph.edge) -> (e.dst, e.weight, e.tag)) (Graph.succ g u))
+
 let test_disjoint_preserves_input () =
   let g = diamond () in
-  let before = Graph.edge_count g in
+  let before = adjacency g in
   ignore (node_disjoint g ~src:0 ~dst:2 ~k:3);
-  Alcotest.(check int) "input untouched" before (Graph.edge_count g)
+  Alcotest.(check bool) "input untouched" true (adjacency g = before)
 
 let suites =
   [
@@ -251,11 +282,7 @@ let suites =
         Alcotest.test_case "remove edges" `Quick test_graph_remove_edges;
         Alcotest.test_case "edge tags" `Quick test_graph_tags;
         QCheck_alcotest.to_alcotest prop_dijkstra_lower_bound;
-      ] );
-    ( "graph.kshortest",
-      [
-        Alcotest.test_case "diamond" `Quick test_yen_basic;
-        Alcotest.test_case "sorted distinct" `Quick test_yen_sorted_distinct;
+        QCheck_alcotest.to_alcotest prop_filtered_equals_pruned;
       ] );
     ( "graph.disjoint",
       [
@@ -267,56 +294,20 @@ let suites =
 
 (* ---------- deeper properties ---------- *)
 
+(* Every edge is tagged with its unordered node pair, so consuming a
+   tag consumes all parallel edges between the pair at once — the
+   route tables tag their multigraph the same way. *)
+let pair_tag n u v = (min u v * n) + max u v
+
 let random_graph seed ~n ~edges =
   let rng = Cisp_util.Rng.create seed in
   let g = Graph.create n in
   for _ = 1 to edges do
     let u = Cisp_util.Rng.int rng n and v = Cisp_util.Rng.int rng n in
-    if u <> v then Graph.add_undirected g u v (Cisp_util.Rng.uniform rng 1.0 10.0)
+    if u <> v then
+      Graph.add_undirected ~tag:(pair_tag n u v) g u v (Cisp_util.Rng.uniform rng 1.0 10.0)
   done;
   g
-
-let path_length g path =
-  let rec loop acc = function
-    | u :: (v :: _ as rest) ->
-      let w =
-        List.fold_left
-          (fun best (e : Graph.edge) -> if e.dst = v then Float.min best e.weight else best)
-          infinity (Graph.succ g u)
-      in
-      loop (acc +. w) rest
-    | _ -> acc
-  in
-  loop 0.0 path
-
-let prop_yen_first_is_shortest =
-  QCheck.Test.make ~name:"yen's first path is the shortest path" ~count:100 QCheck.small_int
-    (fun seed ->
-      let g = random_graph seed ~n:8 ~edges:16 in
-      match (Kshortest.yen g ~src:0 ~dst:7 ~k:3, Dijkstra.shortest_path g ~src:0 ~dst:7) with
-      | [], None -> true
-      | (d, _) :: _, Some (d', _) -> Float.abs (d -. d') < 1e-9
-      | _ -> false)
-
-let prop_yen_paths_valid =
-  QCheck.Test.make ~name:"yen paths are valid and correctly priced" ~count:100 QCheck.small_int
-    (fun seed ->
-      let g = random_graph (seed + 1000) ~n:8 ~edges:18 in
-      List.for_all
-        (fun (d, p) ->
-          List.hd p = 0
-          && List.nth p (List.length p - 1) = 7
-          && Float.abs (path_length g p -. d) < 1e-9
-          (* loopless *)
-          && List.length p = List.length (List.sort_uniq compare p))
-        (Kshortest.yen g ~src:0 ~dst:7 ~k:4))
-
-let prop_yen_sorted =
-  QCheck.Test.make ~name:"yen path lengths are nondecreasing" ~count:100 QCheck.small_int
-    (fun seed ->
-      let g = random_graph (seed + 3000) ~n:9 ~edges:20 in
-      let ds = List.map fst (Kshortest.yen g ~src:0 ~dst:8 ~k:5) in
-      List.sort Float.compare ds = ds)
 
 let prop_disjoint_lengths_nondecreasing =
   QCheck.Test.make ~name:"successive disjoint paths never get shorter" ~count:100
@@ -353,53 +344,61 @@ let prop_disjoint_interiors_disjoint =
       in
       pairwise interiors)
 
-let prop_searches_preserve_input =
-  QCheck.Test.make ~name:"yen/disjoint/multipath leave the input graph unmodified" ~count:100
-    QCheck.small_int
-    (fun seed ->
-      let g = random_graph (seed + 6000) ~n:9 ~edges:20 in
-      let snapshot g =
-        List.init 9 (fun u ->
-            List.map (fun (e : Graph.edge) -> (e.dst, e.weight, e.tag)) (Graph.succ g u))
-      in
-      let before = snapshot g in
-      ignore (Kshortest.yen g ~src:0 ~dst:8 ~k:4);
-      ignore (node_disjoint g ~src:0 ~dst:8 ~k:4);
-      ignore (Multipath.k_disjoint g ~src:0 ~dst:8 ~k:4);
-      ignore (Multipath.k_paths ~disjointness:Multipath.Node_disjoint g ~src:0 ~dst:8 ~k:4);
-      snapshot g = before)
-
 let deep_suite =
   ( "graph.properties",
     [
-      QCheck_alcotest.to_alcotest prop_yen_first_is_shortest;
-      QCheck_alcotest.to_alcotest prop_yen_paths_valid;
-      QCheck_alcotest.to_alcotest prop_yen_sorted;
       QCheck_alcotest.to_alcotest prop_disjoint_lengths_nondecreasing;
       QCheck_alcotest.to_alcotest prop_disjoint_paths_simple;
       QCheck_alcotest.to_alcotest prop_disjoint_interiors_disjoint;
-      QCheck_alcotest.to_alcotest prop_searches_preserve_input;
     ] )
 
-(* ---------- Multipath ---------- *)
+(* ---------- edge- and node-disjoint modes ---------- *)
+
+type disjointness = Edge_disjoint | Node_disjoint
+
+(* Successive disjoint paths over a pair-tagged graph.  [Edge_disjoint]
+   consumes the node pairs each path used; [Node_disjoint] also its
+   interior nodes, so a degenerate direct [src]-[dst] edge is consumed
+   too. *)
+let k_disjoint ?(disjointness = Edge_disjoint) g ~src ~dst ~k =
+  let n = Graph.node_count g in
+  let pairs = Bytes.make (n * n) '\000' and nodes = Bytes.make n '\000' in
+  let rec consume_pairs = function
+    | u :: (v :: _ as rest) ->
+      Bytes.set pairs (pair_tag n u v) '\001';
+      consume_pairs rest
+    | _ -> ()
+  in
+  let consume (_, path) =
+    consume_pairs path;
+    match disjointness with
+    | Edge_disjoint -> ()
+    | Node_disjoint ->
+      List.iter (fun v -> if v <> src && v <> dst then Bytes.set nodes v '\001') path
+  in
+  let keep (e : Graph.edge) =
+    Bytes.get pairs e.Graph.tag = '\000' && Bytes.get nodes e.Graph.dst = '\000'
+  in
+  successive g ~src ~dst ~k ~consume ~keep
 
 (* src 0, dst 4: a 2-hop primary through node 1, an edge-disjoint
    detour that reuses node 1 over fresh edges, and an expensive direct
    edge.  Distinguishes the two disjointness modes. *)
 let multipath_graph () =
   let g = Graph.create 5 in
-  Graph.add_undirected g 0 1 1.0;
-  Graph.add_undirected g 1 4 1.0;
-  Graph.add_undirected g 0 2 1.0;
-  Graph.add_undirected g 2 1 0.5;
-  Graph.add_undirected g 1 3 0.5;
-  Graph.add_undirected g 3 4 1.0;
-  Graph.add_undirected g 0 4 10.0;
+  let add u v w = Graph.add_undirected ~tag:(pair_tag 5 u v) g u v w in
+  add 0 1 1.0;
+  add 1 4 1.0;
+  add 0 2 1.0;
+  add 2 1 0.5;
+  add 1 3 0.5;
+  add 3 4 1.0;
+  add 0 4 10.0;
   g
 
 let test_multipath_edge_disjoint () =
   let g = multipath_graph () in
-  let paths = Multipath.k_disjoint g ~src:0 ~dst:4 ~k:5 in
+  let paths = k_disjoint g ~src:0 ~dst:4 ~k:5 in
   Alcotest.(check (list (float 1e-9))) "edge-disjoint lengths" [ 2.0; 3.0; 10.0 ]
     (List.map fst paths);
   match paths with
@@ -410,21 +409,9 @@ let test_multipath_edge_disjoint () =
 
 let test_multipath_node_disjoint () =
   let g = multipath_graph () in
-  let paths = Multipath.k_disjoint ~disjointness:Multipath.Node_disjoint g ~src:0 ~dst:4 ~k:5 in
+  let paths = k_disjoint ~disjointness:Node_disjoint g ~src:0 ~dst:4 ~k:5 in
   Alcotest.(check (list (float 1e-9))) "node-disjoint lengths" [ 2.0; 10.0 ]
     (List.map fst paths)
-
-let test_multipath_k_paths_top_up () =
-  let g = multipath_graph () in
-  let paths = Multipath.k_paths ~disjointness:Multipath.Node_disjoint g ~src:0 ~dst:4 ~k:3 in
-  (* Two node-disjoint routes exist; Yen tops the set up to three.  The
-     result is priority-ordered, not length-sorted. *)
-  Alcotest.(check int) "topped up" 3 (List.length paths);
-  Alcotest.(check (list (float 1e-9))) "priority order" [ 2.0; 10.0; 2.5 ] (List.map fst paths)
-
-let test_multipath_invalid_k () =
-  Alcotest.check_raises "negative k" (Invalid_argument "Multipath.successive: k < 0") (fun () ->
-      ignore (Multipath.k_disjoint (diamond ()) ~src:0 ~dst:2 ~k:(-1)))
 
 let undirected_pairs p =
   List.map (fun (u, v) -> (min u v, max u v))
@@ -435,7 +422,7 @@ let prop_multipath_edge_disjointness =
   QCheck.Test.make ~name:"k_disjoint paths share no undirected edge" ~count:100 QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 7000) ~n:10 ~edges:26 in
-      let paths = Multipath.k_disjoint g ~src:0 ~dst:9 ~k:5 in
+      let paths = k_disjoint g ~src:0 ~dst:9 ~k:5 in
       let rec pairwise = function
         | [] -> true
         | (_, p) :: rest ->
@@ -452,7 +439,7 @@ let prop_multipath_primary_is_shortest =
   QCheck.Test.make ~name:"k_disjoint primary equals dijkstra" ~count:100 QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 8000) ~n:10 ~edges:22 in
-      match (Multipath.k_disjoint g ~src:0 ~dst:9 ~k:3, Dijkstra.shortest_path g ~src:0 ~dst:9) with
+      match (k_disjoint g ~src:0 ~dst:9 ~k:3, Dijkstra.shortest_path g ~src:0 ~dst:9) with
       | [], None -> true
       | (d, _) :: _, Some (d', _) -> Float.abs (d -. d') < 1e-9
       | _ -> false)
@@ -462,7 +449,7 @@ let prop_multipath_simple_and_monotone =
     QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 9000) ~n:10 ~edges:24 in
-      let paths = Multipath.k_disjoint g ~src:0 ~dst:9 ~k:5 in
+      let paths = k_disjoint g ~src:0 ~dst:9 ~k:5 in
       let ds = List.map fst paths in
       List.for_all (fun (_, p) -> is_simple p) paths && List.sort Float.compare ds = ds)
 
@@ -471,8 +458,6 @@ let multipath_suite =
     [
       Alcotest.test_case "edge-disjoint modes" `Quick test_multipath_edge_disjoint;
       Alcotest.test_case "node-disjoint modes" `Quick test_multipath_node_disjoint;
-      Alcotest.test_case "k_paths top-up" `Quick test_multipath_k_paths_top_up;
-      Alcotest.test_case "invalid k" `Quick test_multipath_invalid_k;
       QCheck_alcotest.to_alcotest prop_multipath_edge_disjointness;
       QCheck_alcotest.to_alcotest prop_multipath_primary_is_shortest;
       QCheck_alcotest.to_alcotest prop_multipath_simple_and_monotone;

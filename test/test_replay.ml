@@ -4,8 +4,8 @@
    consumed edges filtered out.  The oracles below are the direct
    algorithms they replace: every interval evaluated from scratch,
    link geometry recomputed per test, and each disjoint round run on a
-   private copy of the multigraph pruned by [Graph.remove_edges].  The
-   replay must equal them bit for bit. *)
+   private copy of the multigraph pruned of its consumed edges
+   ([Prune.successive]).  The replay must equal them bit for bit. *)
 
 open Cisp_weather
 module Hops = Cisp_towers.Hops
@@ -129,7 +129,7 @@ let medium_tables (m : Routing.network_model) =
 let oracle_disjoint_routes ~k ~src ~dst base n ~mw ~fib =
   let killed = Hashtbl.create 16 in
   let acc = ref [] in
-  let remove work (_, path) =
+  let consume (_, path) =
     let nodes = Array.of_list path in
     let hops = Array.length nodes - 1 in
     let media = Array.make hops Routing.Fiber in
@@ -149,17 +149,17 @@ let oracle_disjoint_routes ~k ~src ~dst base n ~mw ~fib =
         Hashtbl.replace killed
           (match medium with Routing.Mw -> 2 * pid | Routing.Fiber -> (2 * pid) + 1)
           ())
-      media;
-    Graph.remove_edges work (fun _ e -> not (Hashtbl.mem killed e.Graph.tag))
+      media
   in
-  ignore (Cisp_graph.Multipath.successive base ~src ~dst ~k ~remove);
+  let keep (e : Graph.edge) = not (Hashtbl.mem killed e.Graph.tag) in
+  ignore (Prune.successive base ~src ~dst ~k ~consume ~keep);
   Array.of_list (List.rev !acc)
 
-let oracle_multipath_table (m : Routing.network_model) scheme ~demands_gbps =
+let oracle_disjoint_table (m : Routing.network_model) scheme ~demands_gbps =
   let k =
     match scheme with
     | Routing.K_disjoint_split k | Routing.K_disjoint_failover k -> k
-    | _ -> invalid_arg "oracle_multipath_table: not a disjoint scheme"
+    | _ -> invalid_arg "oracle_disjoint_table: not a disjoint scheme"
   in
   let n = Inputs.n_sites m.Routing.inputs in
   let mw, fib = medium_tables m in
@@ -277,7 +277,7 @@ let oracle_scenario ~seed ~schemes ~hops ~(model : Routing.network_model) ~deman
       (fun (_, sch) ->
         match sch with
         | Routing.K_disjoint_split _ | Routing.K_disjoint_failover _ ->
-          Some (oracle_multipath_table model sch ~demands_gbps)
+          Some (oracle_disjoint_table model sch ~demands_gbps)
         | _ -> None)
       schemes
   in
@@ -442,11 +442,7 @@ let test_disjoint_tables_match_oracle () =
         (List.hd shared = None);
       List.iter2
         (fun scheme table ->
-          let expected = table_bits (oracle_multipath_table model scheme ~demands_gbps:demands) in
-          Alcotest.(check bool)
-            (Printf.sprintf "k=%d: multipath_table equals pruned copies" k)
-            true
-            (expected = table_bits (Routing.multipath_table model scheme ~demands_gbps:demands));
+          let expected = table_bits (oracle_disjoint_table model scheme ~demands_gbps:demands) in
           match table with
           | Some t ->
             Alcotest.(check bool)

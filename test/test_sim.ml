@@ -537,9 +537,8 @@ let test_minmax_skips_zero_demand_commodity () =
 
 (* A small random deployment: sites scattered around a base point, a
    ring topology for connectivity plus random chords. *)
-let random_model seed =
+let random_model ?(n = 6) seed =
   let rng = Cisp_util.Rng.create seed in
-  let n = 6 in
   let base = Cisp_geo.Coord.make ~lat:40.0 ~lon:(-100.0) in
   let sites =
     Array.init n (fun i ->
@@ -560,7 +559,7 @@ let random_model seed =
   for i = 0 to n - 2 do
     links := (i, i + 1) :: !links
   done;
-  links := (0, n - 1) :: !links;
+  if n > 2 then links := (0, n - 1) :: !links;
   for _ = 1 to 3 do
     let u = Cisp_util.Rng.int rng n and v = Cisp_util.Rng.int rng n in
     let u, v = (min u v, max u v) in
@@ -591,10 +590,17 @@ let prop_bounded_stretch_per_route =
         table;
       !ok)
 
+(* The table [Routing.disjoint_tables] builds for one multipath
+   scheme. *)
+let disjoint_table model scheme ~demands_gbps =
+  match Routing.disjoint_tables model [ scheme ] ~demands_gbps with
+  | [ Some table ] -> table
+  | _ -> Alcotest.fail "expected one disjoint table"
+
 let test_multipath_table_structure () =
   let model = routing_fixture () in
   let demands = fixture_demands model 2.0 in
-  let table = Routing.multipath_table model (Routing.K_disjoint_split 3) ~demands_gbps:demands in
+  let table = disjoint_table model (Routing.K_disjoint_split 3) ~demands_gbps:demands in
   Alcotest.(check int) "all 12 commodities" 12 (Hashtbl.length table);
   Hashtbl.iter
     (fun (s, t) mp ->
@@ -617,9 +623,12 @@ let test_multipath_table_structure () =
 let test_multipath_invalid_k () =
   let model = routing_fixture () in
   let demands = fixture_demands model 1.0 in
-  Alcotest.check_raises "k = 0 rejected" (Invalid_argument "Routing.multipath_table: k <= 0")
+  Alcotest.check_raises "k = 0 rejected" (Invalid_argument "Routing.disjoint_tables: k <= 0")
     (fun () ->
-      ignore (Routing.multipath_table model (Routing.K_disjoint_split 0) ~demands_gbps:demands))
+      ignore
+        (Routing.disjoint_tables model
+           [ Routing.Shortest_path; Routing.K_disjoint_split 0 ]
+           ~demands_gbps:demands))
 
 let route_respects ~mw_ok (p : Routing.mp_path) =
   let ok = ref true in
@@ -634,9 +643,7 @@ let route_respects ~mw_ok (p : Routing.mp_path) =
 let test_failover_activates_backup () =
   let model = routing_fixture () in
   let demands = fixture_demands model 2.0 in
-  let table =
-    Routing.multipath_table model (Routing.K_disjoint_failover 3) ~demands_gbps:demands
-  in
+  let table = disjoint_table model (Routing.K_disjoint_failover 3) ~demands_gbps:demands in
   let mp = Hashtbl.find table (0, 2) in
   Alcotest.(check bool) "has a backup" true (Array.length mp.Routing.routes >= 2);
   check_float 1e-9 "all mass on the primary" 1.0 mp.Routing.split.(0);
@@ -672,7 +679,7 @@ let test_failover_activates_backup () =
 let test_split_renormalizes_over_survivors () =
   let model = routing_fixture () in
   let demands = fixture_demands model 2.0 in
-  let table = Routing.multipath_table model (Routing.K_disjoint_split 3) ~demands_gbps:demands in
+  let table = disjoint_table model (Routing.K_disjoint_split 3) ~demands_gbps:demands in
   let mp = Hashtbl.find table (0, 2) in
   Alcotest.(check bool) "multiple routes" true (Array.length mp.Routing.routes >= 2);
   (* All MW down: only pure-fiber routes survive, weights renormalized. *)
@@ -688,16 +695,69 @@ let test_split_renormalizes_over_survivors () =
     check_float 1e-9 "weights renormalized" 1.0
       (Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 sel)
 
+(* Fair weather: every commodity's failover primary is its
+   shortest-path route, at the same latency. *)
 let test_multipath_failover_latency_matches_shortest () =
   let model = routing_fixture () in
   let demands = fixture_demands model 2.0 in
-  let failover =
-    Routing.multipath_table model (Routing.K_disjoint_failover 2) ~demands_gbps:demands
-  in
+  let failover = disjoint_table model (Routing.K_disjoint_failover 2) ~demands_gbps:demands in
   let sp = Routing.paths model Routing.Shortest_path ~demands_gbps:demands in
-  check_float 1e-6 "failover fair-weather latency = shortest-path"
-    (Routing.mean_route_latency_ms model sp ~demands_gbps:demands)
-    (Routing.multipath_mean_latency_ms failover ~demands_gbps:demands)
+  Alcotest.(check int) "one entry per routed commodity" (Hashtbl.length sp)
+    (Hashtbl.length failover);
+  Cisp_util.Tbl.iter_sorted
+    (fun key route ->
+      let primary = (Hashtbl.find failover key).Routing.routes.(0) in
+      check_float 1e-6 "primary latency = shortest-path latency"
+        (Routing.route_latency_km model ~mw_ok:all_alive route)
+        primary.Routing.latency_km)
+    sp
+
+(* The invariants of the disjoint route tables, on small generated
+   models (2 to 6 sites) and k from 1 to 4: every route runs from s to
+   t and is simple; no two routes of a commodity share a (pair, medium)
+   edge; latencies are nondecreasing; and the primary has the latency
+   of the shortest-path route. *)
+let prop_disjoint_tables_invariants =
+  QCheck.Test.make ~name:"disjoint routes are simple and disjoint" ~count:40
+    QCheck.(triple small_int (int_range 2 6) (int_range 1 4))
+    (fun (seed, n, k) ->
+      let model = random_model ~n (seed + 23) in
+      let demands = fixture_demands model 5.0 in
+      let sp = Routing.paths model Routing.Shortest_path ~demands_gbps:demands in
+      let edges (p : Routing.mp_path) =
+        List.init (Array.length p.Routing.media) (fun h ->
+            let a = p.Routing.nodes.(h) and b = p.Routing.nodes.(h + 1) in
+            (min a b, max a b, p.Routing.media.(h)))
+      in
+      let commodity_ok (s, t) (mp : Routing.multipath) =
+        let routes = Array.to_list mp.Routing.routes in
+        let runs_s_to_t (p : Routing.mp_path) =
+          let len = Array.length p.Routing.nodes in
+          len >= 2
+          && p.Routing.nodes.(0) = s
+          && p.Routing.nodes.(len - 1) = t
+          && Array.length p.Routing.media = len - 1
+          && List.length (List.sort_uniq compare (Array.to_list p.Routing.nodes)) = len
+        in
+        let all_edges = List.concat_map edges routes in
+        let lats = List.map (fun (p : Routing.mp_path) -> p.Routing.latency_km) routes in
+        let shortest =
+          Routing.route_latency_km model ~mw_ok:all_alive (Hashtbl.find sp (s, t))
+        in
+        List.for_all runs_s_to_t routes
+        && List.length (List.sort_uniq compare all_edges) = List.length all_edges
+        && List.sort Float.compare lats = lats
+        && Float.abs (List.hd lats -. shortest) <= 1e-9 *. Float.max 1.0 shortest
+      in
+      List.for_all
+        (function
+          | Some table ->
+            Hashtbl.length table = Hashtbl.length sp
+            && Hashtbl.fold (fun key mp ok -> ok && commodity_ok key mp) table true
+          | None -> false)
+        (Routing.disjoint_tables model
+           [ Routing.K_disjoint_split k; Routing.K_disjoint_failover k ]
+           ~demands_gbps:demands))
 
 let suites =
   suites
@@ -713,5 +773,6 @@ let suites =
           Alcotest.test_case "failover latency = shortest" `Quick
             test_multipath_failover_latency_matches_shortest;
           QCheck_alcotest.to_alcotest prop_bounded_stretch_per_route;
+          QCheck_alcotest.to_alcotest prop_disjoint_tables_invariants;
         ] );
     ]

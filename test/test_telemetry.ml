@@ -301,6 +301,8 @@ let test_trace_sink () =
             "final counter value in trace" (Some 3.0) (counter_value "t.hits");
           Alcotest.(check (option (float 0.0)))
             "series count in trace" (Some 1.0) (counter_value "t.load.count");
+          Alcotest.(check (option (float 0.0)))
+            "series max in trace" (Some 0.5) (counter_value "t.load.max");
           (* finish is idempotent: a second call must not rewrite. *)
           Sys.remove file;
           Telemetry.finish ~ppf:Format.err_formatter ();

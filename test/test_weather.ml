@@ -307,6 +307,26 @@ let test_scenarios_validation () =
       ("Scenarios.run: blobs = 0 (must be >= 1)", towers ~blobs:0 ~radius:150.0);
       ("Scenarios.run: radius_km = -1 (must be finite and >= 0)", towers ~blobs:2 ~radius:(-1.0));
       ("Scenarios.run: radius_km = nan (must be finite and >= 0)", towers ~blobs:2 ~radius:Float.nan);
+    ];
+  (* Bad fade-margin parameters are named the same way. *)
+  let d = Failure.default_params in
+  List.iter
+    (fun (message, params) ->
+      Alcotest.check_raises message (Invalid_argument message) (fun () ->
+          ignore
+            (Scenarios.run ~params ~schemes ~hops ~model ~demands_gbps:demands
+               (Scenarios.Uniform_rain { mm_h = 25.0 }))))
+    [
+      ("Scenarios.run: f_ghz = 0 (must be finite and > 0)", { d with Failure.f_ghz = 0.0 });
+      ("Scenarios.run: f_ghz = -11 (must be finite and > 0)", { d with Failure.f_ghz = -11.0 });
+      ("Scenarios.run: f_ghz = nan (must be finite and > 0)", { d with Failure.f_ghz = Float.nan });
+      ("Scenarios.run: f_ghz = inf (must be finite and > 0)", { d with Failure.f_ghz = infinity });
+      ( "Scenarios.run: margin_floor_db = nan (must be finite)",
+        { d with Failure.margin_floor_db = Float.nan } );
+      ( "Scenarios.run: margin_cap_db = inf (must be finite)",
+        { d with Failure.margin_cap_db = infinity } );
+      ( "Scenarios.run: margin_floor_db = 40 (must be <= margin_cap_db = 38)",
+        { d with Failure.margin_floor_db = 40.0 } );
     ]
 
 let suites =
